@@ -8,7 +8,10 @@ the algorithm: recall, ReID invocations and the simulated clock must be
 than the gate's 5% simulated-ms tolerance, which guards the same number
 against drift across commits.  The wall-clock price of recording is
 machine-dependent and lands in the ungated ``extras`` (overhead ratio,
-events recorded, events per simulated second).
+events recorded, events per simulated second).  The plain arm is truly
+plain — no component builds a telemetry sink of its own — and each arm
+reports its fastest of ``ROUNDS`` alternating runs after one untimed
+warm-up, so first-call costs and machine noise do not land on one arm.
 """
 
 import time
@@ -22,6 +25,7 @@ from repro.provenance import DecisionLedger
 from repro.telemetry import Telemetry
 
 TAU_MAX = 400
+ROUNDS = 3
 
 
 def _factory():
@@ -44,12 +48,18 @@ def _run(videos, *, observed: bool):
 
 
 def test_ledger_overhead(mot17_videos):
-    plain = _run(mot17_videos, observed=False)
-    observed = _run(mot17_videos, observed=True)
+    _run(mot17_videos, observed=False)  # warm-up, untimed
+    plains, observeds = [], []
+    for _ in range(ROUNDS):
+        plains.append(_run(mot17_videos, observed=False))
+        observeds.append(_run(mot17_videos, observed=True))
+    plain = min(plains, key=lambda run: run["wall_s"])
+    observed = min(observeds, key=lambda run: run["wall_s"])
     ledger = observed["ledger"]
 
-    # Transparency: the observed run is the plain run, bit for bit.
-    assert observed["point"] == plain["point"]
+    # Transparency: every observed run is the plain run, bit for bit.
+    for run in plains + observeds:
+        assert run["point"] == plain["point"]
     assert len(ledger) > 0
 
     simulated_ms = observed["point"].simulated_seconds * 1000.0

@@ -11,7 +11,7 @@ full interchange loop:
   3. run a tracker on the external detections,
   4. run the query engine on the external tracks,
   5. point out the single integration seam for merging: any object with
-     an ``extract(detection) -> np.ndarray`` method can replace
+     an ``extract(detection, frame) -> np.ndarray`` method can replace
      ``SimReIDModel`` inside ``ReidScorer`` — that is where a real ReID
      network plugs in.
 """
@@ -80,10 +80,10 @@ def main() -> None:
     # 5. The merging seam.
     print(
         "\nTo merge external tracks, construct ReidScorer with any model\n"
-        "exposing  extract(detection) -> np.ndarray  (a real ReID network\n"
-        "wrapper); every merger (BaselineMerger, TMerge, ...) then runs\n"
-        "unchanged.  In this repository SimReIDModel plays that role for\n"
-        "simulated worlds."
+        "exposing  extract(detection, frame) -> np.ndarray  (a real ReID\n"
+        "network wrapper); every merger (BaselineMerger, TMerge, ...) then\n"
+        "runs unchanged.  In this repository SimReIDModel plays that role\n"
+        "for simulated worlds."
     )
 
 

@@ -15,7 +15,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro import contracts
 from repro.core.merge import merge_tracks
 from repro.core.pairs import TrackPair, build_track_pairs
 from repro.core.results import MergeResult, top_k_count
@@ -24,7 +23,7 @@ from repro.detect import Detection, NoisyDetector
 from repro.faults.errors import WindowCrashError
 from repro.faults.profiles import FaultProfile
 from repro.provenance import EVENT_FAULT, DecisionLedger
-from repro.reid import CostModel, CostParams, ReidScorer, SimReIDModel
+from repro.reid import CostModel, CostParams, ReidScorer
 from repro.resilience import (
     REID_UNAVAILABLE,
     ResilienceConfig,
@@ -33,7 +32,7 @@ from repro.resilience import (
     retry_call,
 )
 from repro.synth.world import VideoGroundTruth
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry import Telemetry
 from repro.track.base import Track, Tracker
 
 #: Prior means mirroring BetaInit (see :mod:`repro.core.tmerge`): the
@@ -114,32 +113,6 @@ def merger_with_batch_size(merger: Merger, batch_size: int | None) -> Merger:
     return clone
 
 
-def merger_with_ledger(
-    merger: Merger, ledger: DecisionLedger | None
-) -> Merger:
-    """Shallow-copy ``merger`` with a decision ledger attached.
-
-    The run-level seam behind the pipeline/streaming ``ledger`` knobs,
-    mirroring :func:`merger_with_batch_size`: ``None`` leaves the merger
-    untouched; otherwise a shallow copy records into ``ledger`` (the
-    original merger is never mutated, and a configured checkpoint store
-    keeps being shared).
-
-    Raises:
-        TypeError: if the merger has no ``ledger`` attribute (e.g. the
-            BL baseline, which makes no sampling decisions to record).
-    """
-    if ledger is None:
-        return merger
-    if not hasattr(merger, "ledger"):
-        raise TypeError(
-            f"merger {merger.name!r} does not support a decision ledger"
-        )
-    clone = copy.copy(merger)
-    clone.ledger = ledger
-    return clone
-
-
 def run_resilient_window(
     merger: Merger,
     index: int,
@@ -163,7 +136,7 @@ def run_resilient_window(
         index: window index (used to arm the crash schedule).
         pairs: the window's candidate pair set.
         scorer: plain or resilient scorer.
-        cost: the shared simulated clock.
+        cost: the window's simulated clock.
         resilience: retry/breaker/window-retry tuning, or ``None``.
         crasher: optional
             :class:`~repro.faults.injectors.WindowCrashInjector`.
@@ -229,7 +202,8 @@ class IngestionResult:
         window_results: the merging algorithm's result per window.
         merged_tracks: tracks after applying all selected candidates.
         id_map: original TID → merged TID.
-        cost: the simulated cost model (shared across windows).
+        cost: the run clock (window clocks folded in index order, each
+            ReID feature charged once).
         resilience_stats: counters from the resilience layer (empty when
             the pipeline ran without one).
         window_metrics: per-window telemetry counter deltas (one dict per
@@ -313,18 +287,14 @@ class IngestionPipeline:
             simulated clock, and :attr:`IngestionResult.window_metrics`
             carries per-window counter deltas.  Telemetry is pure
             observation — results are bit-identical with it on or off.
-        workers: ``None`` (default) keeps the legacy strictly-serial
-            path, bit-for-bit.  Any integer ≥ 1 switches to the
-            window-sharded engine (:mod:`repro.parallel`), whose
-            *window-local* determinism regime makes results a pure
-            function of ``(seed, window index)``: ``workers=1`` runs
-            the per-window tasks inline through the pre-existing
-            :func:`run_resilient_window` code path, and every higher
-            worker count reproduces that run bit-identically (enforced
-            by ``tests/test_parallel_equivalence.py``).  The engine
-            regime is *not* bit-identical to ``workers=None`` because
-            the legacy path threads one ReID RNG stream, feature cache,
-            clock and breaker through all windows — see DESIGN.md §9.
+        workers: worker count of the window engine
+            (:func:`repro.parallel.run_windows`), an integer ≥ 1.  ``1``
+            (default) runs the per-window tasks inline; every higher
+            count reproduces that run bit-identically (enforced by
+            ``tests/test_parallel_equivalence.py``), because a window's
+            result is a pure function of ``(seed, window index)`` and
+            the in-order fold charges each ReID feature once per video
+            — see DESIGN.md §9.
         parallel_backend: pool flavour for ``workers`` ≥ 2 —
             ``"process"`` (default, real CPU parallelism) or
             ``"thread"`` (shared memory, GIL-bound).
@@ -338,10 +308,9 @@ class IngestionPipeline:
             :class:`~repro.provenance.DecisionLedger`.  When set, the
             run's merger records one decision event per TMerge
             iteration, ULB pass, degradation and fault intervention,
-            stamped with the owning window index (serial path: the
-            shared ledger follows the window loop; ``workers`` path:
-            per-window worker ledgers are absorbed in window-index
-            order).  Pure observation — results are bit-identical with
+            stamped with the owning window index (per-window worker
+            ledgers are absorbed in window-index order).  Pure
+            observation — results are bit-identical with
             it on or off (``tests/test_provenance_equivalence.py``).
     """
 
@@ -357,20 +326,16 @@ class IngestionPipeline:
     fault_profile: FaultProfile | None = None
     resilience: ResilienceConfig | None = None
     telemetry: Telemetry | None = None
-    workers: int | None = None
+    workers: int = 1
     parallel_backend: str = "process"
     batch_size: int | None = None
     ledger: DecisionLedger | None = None
 
-    def _effective_merger(self) -> Merger:
-        """The merger this run executes (batch + ledger overrides)."""
-        merger = merger_with_batch_size(self.merger, self.batch_size)
-        if self.workers is None:
-            # Serial path: the shared run ledger records in-process.
-            # The workers path ships per-window ledgers instead (the
-            # prototype crossing the pool seam must stay detached).
-            merger = merger_with_ledger(merger, self.ledger)
-        return merger
+    def __post_init__(self) -> None:
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ValueError(
+                f"workers must be an integer >= 1, got {self.workers!r}"
+            )
 
     def _resilience(self) -> ResilienceConfig | None:
         """The effective resilience config (auto-on under a fault profile)."""
@@ -400,165 +365,16 @@ class IngestionPipeline:
         tracks: list[Track],
     ) -> IngestionResult:
         """Ingest starting from precomputed tracks (lets experiments share
-        one tracker run across many merger configurations)."""
-        if self.workers is not None:
-            return self._run_sharded(world, detections, tracks)
-        merger = self._effective_merger()
-        telemetry = self.telemetry
-        cost = CostModel(self.cost_params, telemetry=telemetry)
-        if telemetry is not None:
-            telemetry.bind_clock(cost)
-        model = SimReIDModel(world, seed=self.reid_seed)
-        if (
-            self.fault_profile is not None
-            and self.fault_profile.injects_reid_faults
-        ):
-            model = self.fault_profile.wrap_model(model)
-            for injector in (model.call_injector, model.corruption_injector):
-                if injector is not None:
-                    injector.telemetry = telemetry
-        scorer: ReidScorer | ResilientReidScorer = ReidScorer(
-            model, cost=cost, telemetry=telemetry
-        )
-        resilience = self._resilience()
-        if resilience is not None:
-            scorer = ResilientReidScorer(
-                scorer,
-                retry=resilience.retry,
-                breaker_policy=resilience.breaker,
-            )
-        crasher = (
-            self.fault_profile.window_crasher()
-            if self.fault_profile is not None
-            and self.fault_profile.window_crash_rate > 0
-            else None
-        )
-        if crasher is not None:
-            crasher.telemetry = telemetry
+        one tracker run across many merger configurations).
 
-        windows = partition_windows(
-            world.n_frames, self.window_length, l_max=self.l_max
-        )
-        windowed = WindowedTracks.assign(tracks, windows)
-
-        window_pairs: list[list[TrackPair]] = []
-        window_results: list[MergeResult] = []
-        window_metrics: list[dict[str, float]] = []
-        ingest_span = (
-            telemetry.span(
-                "ingest",
-                method=merger.name,
-                n_windows=len(windows),
-                n_tracks=len(tracks),
-            )
-            if telemetry is not None
-            else nullcontext()
-        )
-        with ingest_span:
-            for c in range(len(windows)):
-                pairs = build_track_pairs(
-                    windowed.tracks_of(c), windowed.previous_tracks_of(c)
-                )
-                window_pairs.append(pairs)
-                before = (
-                    telemetry.metrics.counters_snapshot()
-                    if telemetry is not None
-                    else None
-                )
-                window_span = (
-                    telemetry.span("window", window_id=c, n_pairs=len(pairs))
-                    if telemetry is not None
-                    else nullcontext()
-                )
-                if self.ledger is not None:
-                    self.ledger.begin_window(c)
-                with window_span:
-                    if pairs:
-                        result = self._run_window(
-                            merger, c, pairs, scorer, cost, resilience,
-                            crasher,
-                        )
-                        if contracts.ENABLED:
-                            contracts.check_top_k_budget(
-                                len(result.candidates),
-                                len(pairs),
-                                where="IngestionPipeline",
-                            )
-                        window_results.append(result)
-                    else:
-                        window_results.append(
-                            MergeResult(
-                                method=merger.name,
-                                candidates=[],
-                                scores={},
-                                n_pairs=0,
-                                k=getattr(merger, "k", 0.0),
-                                simulated_seconds=0.0,
-                            )
-                        )
-                if telemetry is not None:
-                    telemetry.observe(
-                        "window.merge_ms",
-                        window_results[-1].simulated_seconds * 1000.0,
-                    )
-                    window_metrics.append(
-                        MetricsRegistry.delta(
-                            telemetry.metrics.counters_snapshot(), before
-                        )
-                    )
-
-        selected = self._select_keys(window_results)
-        merged, id_map = merge_tracks(tracks, selected)
-        return IngestionResult(
-            world=world,
-            detections=detections,
-            tracks=tracks,
-            windows=windows,
-            window_pairs=window_pairs,
-            window_results=window_results,
-            merged_tracks=merged,
-            id_map=id_map,
-            cost=cost,
-            resilience_stats=(
-                scorer.stats()
-                if isinstance(scorer, ResilientReidScorer)
-                else {}
-            ),
-            window_metrics=window_metrics,
-        )
-
-    def _select_keys(self, window_results: list[MergeResult]) -> list:
-        """Candidate keys to auto-merge, honoring the score threshold."""
-        selected = []
-        for result in window_results:
-            for key in result.candidate_keys:
-                if (
-                    self.merge_score_threshold is not None
-                    and result.scores.get(key, 0.0)
-                    >= self.merge_score_threshold
-                ):
-                    continue
-                selected.append(key)
-        return selected
-
-    def _run_sharded(
-        self,
-        world: VideoGroundTruth,
-        detections: list[list[Detection]],
-        tracks: list[Track],
-    ) -> IngestionResult:
-        """The ``workers`` path: window-sharded engine, window-local seeds.
-
-        Windows and pair sets are built exactly as on the serial path;
-        the per-window merge work is then fanned out through
-        :func:`repro.parallel.run_windows` and reassembled in index
-        order.  See the ``workers`` attribute docstring for the
-        determinism regime.
+        Windows and pair sets are built here; the per-window merge work
+        runs through :func:`repro.parallel.run_windows` and is
+        reassembled in index order (see the ``workers`` attribute).
         """
         # Imported lazily: repro.parallel imports this module.
         from repro.parallel import run_windows
 
-        merger = self._effective_merger()
+        merger = merger_with_batch_size(self.merger, self.batch_size)
         telemetry = self.telemetry
         windows = partition_windows(
             world.n_frames, self.window_length, l_max=self.l_max
@@ -614,17 +430,16 @@ class IngestionPipeline:
             window_metrics=run.window_metrics,
         )
 
-    def _run_window(
-        self,
-        merger: Merger,
-        index: int,
-        pairs: list[TrackPair],
-        scorer: ReidScorer | ResilientReidScorer,
-        cost: CostModel,
-        resilience: ResilienceConfig | None,
-        crasher,
-    ) -> MergeResult:
-        """Run the merger on one window through the resilience seam."""
-        return run_resilient_window(
-            merger, index, pairs, scorer, cost, resilience, crasher
-        )
+    def _select_keys(self, window_results: list[MergeResult]) -> list:
+        """Candidate keys to auto-merge, honoring the score threshold."""
+        selected = []
+        for result in window_results:
+            for key in result.candidate_keys:
+                if (
+                    self.merge_score_threshold is not None
+                    and result.scores.get(key, 0.0)
+                    >= self.merge_score_threshold
+                ):
+                    continue
+                selected.append(key)
+        return selected

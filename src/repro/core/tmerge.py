@@ -55,15 +55,12 @@ from repro.telemetry import Telemetry, profiled
 
 _POSTERIORS = ("beta", "gaussian")
 
-#: Checkpoint payload schema version.  v1 (implicit — payloads without a
-#: ``version`` key) predates the vectorized sampler and never recorded the
-#: batch size; v2 records both so a resume with a mismatched ``batch_size``
-#: fails loudly instead of silently diverging from the interrupted run.
-#: v3 adds the decision ledger's state (``"ledger"``, ``None`` when the
-#: run records no provenance), so a kill+resume reconstructs the decision
-#: log bit-exactly; v1/v2 payloads still load when no ledger is attached
-#: (see :meth:`TMerge._check_checkpoint_compat`).
-CHECKPOINT_VERSION = 3
+#: Checkpoint payload schema version.  v4 records the effective batch
+#: size, the decision ledger's state (``None`` when the run records no
+#: provenance) and, inside the scorer state, the window's extraction-
+#: charge record; the ReID model holds no RNG to record.  Any other
+#: version is refused (see :meth:`TMerge._check_checkpoint_compat`).
+CHECKPOINT_VERSION = 4
 
 #: Gaussian-posterior prior variance.  0.25 is the largest variance any
 #: [0, 1]-supported distribution can have (a fair coin's), so the prior is
@@ -118,7 +115,8 @@ class TMerge:
             When ``None`` the run falls back to the scorer's sink, so the
             bandit's counters (``tmerge.thompson_draws``,
             ``ulb.accepted`` …) land next to the ReID-cost counters
-            without any extra plumbing.  Telemetry never touches the RNG
+            without any extra plumbing; with neither, the run records
+            nothing.  Telemetry never touches the RNG
             or the simulated clock: results are bit-identical with it on
             or off.
         ledger: optional injected
@@ -127,9 +125,9 @@ class TMerge:
             (DESIGN.md §14).  Like telemetry it is pure observation —
             recording never consumes the RNG stream or touches the
             simulated clock, so ledger-enabled runs are bit-identical
-            to plain ones.  The ledger state rides inside checkpoints
-            (schema v3), so a killed-and-resumed window reconstructs
-            its decision log bit-exactly.
+            to plain ones.  The ledger state rides inside checkpoints,
+            so a killed-and-resumed window reconstructs its decision
+            log bit-exactly.
     """
 
     def __init__(
@@ -500,42 +498,31 @@ class TMerge:
     def _check_checkpoint_compat(self, saved: dict) -> None:
         """Refuse to resume a snapshot this configuration cannot honour.
 
-        v1 payloads (no ``version`` key) predate the vectorized sampler
-        and never recorded the batch size, so they are only trusted on
-        the scalar path — the one whose RNG consumption is unchanged
-        since v1.  v2 payloads record the *effective* batch (``None`` and
-        ``1`` are the same scalar algorithm), and a resume must use the
-        same one: a different batch consumes the RNG stream differently,
-        so continuing would silently diverge from the interrupted run.
-        v3 payloads additionally carry the decision-ledger state; older
-        payloads (and v3 payloads written without a ledger) refuse to
-        resume into a ledger-attached run, because the pre-crash decision
-        events would be silently missing from the reconstructed log.
-        Merge *results* never depend on the ledger, so payloads carrying
-        ledger state load fine into ledger-free runs (the state is just
-        ignored).
+        Only :data:`CHECKPOINT_VERSION` payloads load.  A payload records
+        the *effective* batch (``None`` and ``1`` are the same scalar
+        algorithm), and a resume must use the same one: a different
+        batch consumes the RNG stream differently, so continuing would
+        silently diverge from the interrupted run.  A payload written
+        without a ledger refuses to resume into a ledger-attached run,
+        because the pre-crash decision events would be silently missing
+        from the reconstructed log.  Merge *results* never depend on the
+        ledger, so payloads carrying ledger state load fine into
+        ledger-free runs (the state is just ignored).
         """
         version = int(saved.get("version", 1))
-        if version > CHECKPOINT_VERSION:
+        if version != CHECKPOINT_VERSION:
+            age = "newer" if version > CHECKPOINT_VERSION else "older"
             raise ValueError(
-                f"checkpoint version {version} is newer than this "
+                f"checkpoint version {version} is {age} than this "
                 f"TMerge build supports ({CHECKPOINT_VERSION})"
             )
         if self.ledger is not None and saved.get("ledger") is None:
             raise ValueError(
-                f"checkpoint (version {version}) carries no decision-"
-                "ledger state; resuming it with a ledger attached would "
-                "silently drop every pre-crash decision event — resume "
-                "without a ledger, or re-run from scratch"
+                "checkpoint carries no decision-ledger state; resuming "
+                "it with a ledger attached would silently drop every "
+                "pre-crash decision event — resume without a ledger, or "
+                "re-run from scratch"
             )
-        if version == 1:
-            if self._effective_batch is not None:
-                raise ValueError(
-                    "v1 checkpoints predate batched snapshots and can "
-                    "only resume on the scalar path "
-                    f"(batch_size=None or 1, got {self.batch_size})"
-                )
-            return
         saved_batch = saved.get("batch")
         if saved_batch != self._effective_batch:
             raise ValueError(

@@ -213,7 +213,7 @@ def run_telemetry(args) -> str:
         merger=TMerge(k=0.05, tau_max=400, batch_size=10, seed=3),
         window_length=args.window_length,
         telemetry=telemetry,
-        workers=args.workers,
+        workers=args.workers or 1,
         parallel_backend=args.parallel_backend,
     )
     result = pipeline.run(world)
@@ -765,8 +765,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="window-sharded engine worker count (telemetry, parallel; "
-        "default: serial path, or 4 for the parallel report)",
+        help="window-engine worker count (telemetry, parallel; "
+        "default: 1, or 4 for the parallel report)",
     )
     parser.add_argument(
         "--parallel-backend",

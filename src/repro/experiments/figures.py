@@ -34,6 +34,7 @@ from repro.experiments.sweeps import (
 from repro.metrics.identity import IdentityResult, evaluate_identity
 from repro.metrics.matching import polyonymous_rate
 from repro.metrics.recall import rec_k_curve
+from repro.parallel import run_windows
 from repro.query.evaluation import (
     cooccurrence_query_recall,
     count_query_recall,
@@ -72,15 +73,23 @@ def fig3_rec_k(
         sums = [0.0] * len(ks)
         counts = [0] * len(ks)
         for video in videos:
-            scorer = ReidScorer(
-                SimReIDModel(video.world, seed=reid_seed),
-                cost=CostModel(telemetry=telemetry),
+            # Windows without polyonymous pairs have no REC to report.
+            window_pairs = [
+                pairs if gt_keys else []
+                for pairs, gt_keys in zip(video.window_pairs, video.window_gt)
+            ]
+            run = run_windows(
+                world=video.world,
+                window_pairs=window_pairs,
+                merger=BaselineMerger(k=1.0),
+                reid_seed=reid_seed,
                 telemetry=telemetry,
             )
-            for pairs, gt_keys in zip(video.window_pairs, video.window_gt):
-                if not pairs or not gt_keys:
+            for pairs, gt_keys, result in zip(
+                window_pairs, video.window_gt, run.window_results
+            ):
+                if not pairs:
                     continue
-                result = BaselineMerger(k=1.0).run(pairs, scorer)
                 for i, (k, rec) in enumerate(
                     rec_k_curve(pairs, result.scores, gt_keys, list(ks))
                 ):
@@ -114,15 +123,14 @@ def fig4_runtime_scaling(
             preset, 1, seed=seed, n_frames=length, window_length=window_length
         )
         video = videos[0]
-        scorer = ReidScorer(
-            SimReIDModel(video.world, seed=reid_seed), cost=CostModel()
+        run = run_windows(
+            world=video.world,
+            window_pairs=video.window_pairs,
+            merger=BaselineMerger(k=0.05),
+            reid_seed=reid_seed,
         )
-        n_pairs = 0
-        for pairs in video.window_pairs:
-            n_pairs += len(pairs)
-            if pairs:
-                BaselineMerger(k=0.05).run(pairs, scorer)
-        rows.append((length, n_pairs, scorer.cost.seconds))
+        n_pairs = sum(len(pairs) for pairs in video.window_pairs)
+        rows.append((length, n_pairs, run.cost.seconds))
     return rows
 
 
@@ -386,14 +394,14 @@ def _identify_and_confirm(
     pairs are merged.
     """
     video.reset_sampling()
-    scorer = ReidScorer(
-        SimReIDModel(video.world, seed=reid_seed), cost=CostModel()
+    run = run_windows(
+        world=video.world,
+        window_pairs=video.window_pairs,
+        merger=merger_factory(),
+        reid_seed=reid_seed,
     )
     confirmed: set[PairKey] = set()
-    for pairs, gt_keys in zip(video.window_pairs, video.window_gt):
-        if not pairs:
-            continue
-        result = merger_factory().run(pairs, scorer)
+    for result, gt_keys in zip(run.window_results, video.window_gt):
         confirmed |= result.candidate_keys & gt_keys
     return confirmed
 

@@ -9,11 +9,10 @@ gates it **per scenario** against the committed baseline
 (``benchmarks/results/scenario_matrix.json``) — a regression confined to
 one regime must fail the build even when the matrix average looks fine.
 
-Both legs run under the window-local determinism regime (``workers=1``
-through the sharded engine, thread backend), so the recorded numbers are
-a pure function of ``(matrix, seed)`` — bit-identical across machines,
-worker counts and reruns, which is what makes committing the baseline
-meaningful.
+Both legs run on the window engine (``workers=1``, thread backend), so
+the recorded numbers are a pure function of ``(matrix, seed)`` —
+bit-identical across machines, worker counts and reruns, which is what
+makes committing the baseline meaningful.
 """
 
 from __future__ import annotations

@@ -5,17 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.pipeline import (
-    Merger,
-    merger_with_ledger,
-    run_resilient_window,
-)
+from repro.core.pipeline import Merger
 from repro.provenance import DecisionLedger
 from repro.experiments.prep import PreparedVideo
 from repro.faults.profiles import FaultProfile
 from repro.metrics.recall import window_recall
-from repro.reid import CostParams, ReidScorer, SimReIDModel
-from repro.resilience import ResilienceConfig, ResilientReidScorer
+from repro.parallel import run_windows
+from repro.reid import CostParams
+from repro.resilience import ResilienceConfig
 from repro.telemetry import Telemetry
 
 MergerFactory = Callable[[], Merger]
@@ -57,14 +54,18 @@ def evaluate_merger(
     resilience: ResilienceConfig | None = None,
     telemetry: Telemetry | None = None,
     ledger: DecisionLedger | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     parallel_backend: str = "process",
 ) -> MethodPoint:
     """Run one algorithm configuration over every window of every video.
 
-    A fresh merger, scorer (cache) and cost clock are used per video — the
-    paper's per-video ingestion setting — and REC is averaged over all
-    windows that contain at least one true polyonymous pair.
+    Each video's windows run through the window engine
+    (:func:`repro.parallel.run_windows`) with a fresh merger and cost
+    clock per video — the paper's per-video ingestion setting, with each
+    ReID feature charged once per video — and REC is averaged over all
+    windows that contain at least one true polyonymous pair.  For a
+    fixed seed the returned :class:`MethodPoint` is identical for every
+    worker count and backend.
 
     Args:
         factory: builds a fresh merger per video.
@@ -73,8 +74,8 @@ def evaluate_merger(
         cost_params: simulated cost constants (defaults).
         parameter: recorded swept-parameter value for reporting.
         fault_profile: optional chaos configuration wired into the ReID
-            model and the per-window crash seam (fresh injectors per
-            video, so every video sees the same schedule).
+            model and the per-window crash seam (per-window seam
+            substreams, so every video sees the same schedule).
         resilience: resilience tuning; defaults on when a fault profile
             is given, stays off otherwise.
         telemetry: optional injected :class:`~repro.telemetry.Telemetry`
@@ -88,124 +89,12 @@ def evaluate_merger(
             with it on or off (``benchmarks/test_ledger_overhead.py``
             measures the wall-clock price and asserts the zero
             simulated-clock price).
-        workers: ``None`` (default) keeps the serial per-video loop;
-            an integer routes every video through the window-sharded
-            engine (:func:`repro.parallel.run_windows`) with that many
-            workers.  Engine results are a pure function of the seeds
-            and window indices, so any worker count yields the same
-            :class:`MethodPoint` bit-for-bit.
-        parallel_backend: ``"process"`` or ``"thread"`` pool for the
-            engine path (ignored when ``workers`` is ``None``).
+        workers: window-engine worker count (≥ 1).
+        parallel_backend: ``"process"`` or ``"thread"`` pool for
+            ``workers`` ≥ 2.
     """
     if resilience is None and fault_profile is not None:
         resilience = ResilienceConfig()
-    if workers is not None:
-        return _evaluate_merger_sharded(
-            factory,
-            videos,
-            reid_seed=reid_seed,
-            cost_params=cost_params,
-            parameter=parameter,
-            fault_profile=fault_profile,
-            resilience=resilience,
-            telemetry=telemetry,
-            ledger=ledger,
-            workers=workers,
-            parallel_backend=parallel_backend,
-        )
-    recs: list[float] = []
-    total_seconds = 0.0
-    total_frames = 0
-    degraded_windows = 0
-    reid_invocations = 0
-    method = ""
-    for video in videos:
-        video.reset_sampling()
-        merger = merger_with_ledger(factory(), ledger)
-        method = merger.name
-        from repro.reid import CostModel  # local import to avoid cycle noise
-
-        cost = CostModel(cost_params, telemetry=telemetry)
-        if telemetry is not None:
-            telemetry.bind_clock(cost)
-        model = SimReIDModel(video.world, seed=reid_seed)
-        if fault_profile is not None and fault_profile.injects_reid_faults:
-            model = fault_profile.wrap_model(model)
-            for injector in (model.call_injector, model.corruption_injector):
-                if injector is not None:
-                    injector.telemetry = telemetry
-        scorer: ReidScorer | ResilientReidScorer = ReidScorer(
-            model, cost=cost, telemetry=telemetry
-        )
-        if resilience is not None:
-            scorer = ResilientReidScorer(
-                scorer,
-                retry=resilience.retry,
-                breaker_policy=resilience.breaker,
-            )
-        crasher = (
-            fault_profile.window_crasher()
-            if fault_profile is not None
-            and fault_profile.window_crash_rate > 0
-            else None
-        )
-        if crasher is not None:
-            crasher.telemetry = telemetry
-        for index, (pairs, gt_keys) in enumerate(
-            zip(video.window_pairs, video.window_gt)
-        ):
-            if not pairs:
-                continue
-            if ledger is not None:
-                ledger.begin_window(index)
-            result = run_resilient_window(
-                merger, index, pairs, scorer, cost, resilience, crasher
-            )
-            if result.degraded:
-                degraded_windows += 1
-            rec = window_recall(result.candidate_keys, gt_keys)
-            if rec is not None:
-                recs.append(rec)
-        total_seconds += cost.seconds
-        total_frames += video.n_frames
-        reid_invocations += cost.n_extractions + cost.n_batched_extractions
-
-    avg_rec = sum(recs) / len(recs) if recs else 1.0
-    fps = total_frames / total_seconds if total_seconds > 0 else float("inf")
-    return MethodPoint(
-        method=method,
-        rec=avg_rec,
-        fps=fps,
-        simulated_seconds=total_seconds,
-        parameter=parameter,
-        degraded_windows=degraded_windows,
-        reid_invocations=reid_invocations,
-    )
-
-
-def _evaluate_merger_sharded(
-    factory: MergerFactory,
-    videos: list[PreparedVideo],
-    reid_seed: int,
-    cost_params: CostParams | None,
-    parameter: float | None,
-    fault_profile: FaultProfile | None,
-    resilience: ResilienceConfig | None,
-    telemetry: Telemetry | None,
-    ledger: DecisionLedger | None,
-    workers: int,
-    parallel_backend: str,
-) -> MethodPoint:
-    """The ``workers`` path of :func:`evaluate_merger`.
-
-    Each video's windows run through the window-sharded engine under
-    the window-local determinism regime (see :mod:`repro.parallel`);
-    the aggregation below mirrors the serial loop exactly, so for a
-    fixed seed the returned :class:`MethodPoint` is identical for every
-    worker count and backend.
-    """
-    from repro.parallel import run_windows
-
     recs: list[float] = []
     total_seconds = 0.0
     total_frames = 0

@@ -10,7 +10,7 @@ Injection seams:
 
 * :class:`ReidCallFaultInjector` — raises at the ReID call boundary
   (failure / timeout), consulted by :class:`FaultyReidModel` *before* the
-  wrapped model runs, so a failed call never consumes model RNG state.
+  wrapped model runs, so a failed call never reaches the model.
 * :class:`FeatureCorruptionInjector` — corrupts returned embeddings
   (all-NaN vectors, or silently swapped latents from earlier calls).
 * :class:`FrameDropInjector` — blanks whole detection frames (feed
@@ -250,7 +250,7 @@ class FaultyReidModel:
     Drop-in for :class:`~repro.reid.model.SimReIDModel` at the
     :class:`~repro.reid.scorer.ReidScorer` seam: the scorer only calls
     ``extract``.  Call faults are decided *before* the wrapped model runs,
-    so a failed call never advances the model's noise RNG — retries stay
+    so a failed call never reaches the model — retries stay
     bit-deterministic.
 
     Args:
@@ -269,25 +269,22 @@ class FaultyReidModel:
         self.call_injector = call_injector
         self.corruption_injector = corruption_injector
 
-    def extract(self, detection) -> np.ndarray:
+    def extract(self, detection, frame: int) -> np.ndarray:
         """Extract a feature, subject to the injected fault schedules."""
         if self.call_injector is not None:
             self.call_injector.check()
-        feature = self.model.extract(detection)
+        feature = self.model.extract(detection, frame)
         if self.corruption_injector is not None:
             feature = self.corruption_injector.corrupt(feature)
         return feature
 
     def rng_state(self) -> dict:
-        """Joint RNG state of the wrapped model and every injector.
+        """Joint RNG state of every injector (the model itself is pure).
 
         Used by the checkpoint layer so a resumed window replays the same
         fault schedule the crashed run saw.
         """
         state: dict = {}
-        inner = getattr(self.model, "rng_state", None)
-        if callable(inner):
-            state["model"] = inner()
         if self.call_injector is not None:
             state["call"] = dict(self.call_injector.rng.bit_generator.state)
         if self.corruption_injector is not None:
@@ -302,9 +299,6 @@ class FaultyReidModel:
 
     def set_rng_state(self, state: dict) -> None:
         """Restore a state captured by :meth:`rng_state`."""
-        inner = getattr(self.model, "set_rng_state", None)
-        if callable(inner) and "model" in state:
-            inner(state["model"])
         if self.call_injector is not None and "call" in state:
             self.call_injector.rng.bit_generator.state = state["call"]
         if self.corruption_injector is not None and "corruption" in state:

@@ -4,31 +4,35 @@ Fans the per-window merge work (:func:`repro.core.pipeline.run_resilient_window`
 plus merge ranking) out over a :mod:`concurrent.futures` process or
 thread pool and reassembles the outcomes in window-index order.
 
-Determinism model — the *window-local regime*
----------------------------------------------
+Determinism model — one regime for every engine
+-----------------------------------------------
 Every window runs against its own, freshly built execution state:
 
-* a :class:`~repro.reid.model.SimReIDModel` seeded from the window's
-  :class:`~numpy.random.SeedSequence` substream,
+* a :class:`~repro.reid.model.SimReIDModel` whose noise is keyed by
+  ``(reid_seed, detection)`` — a feature is a pure function of its key,
 * a fresh :class:`~repro.reid.scorer.FeatureCache` and window-local
   :class:`~repro.reid.cost.CostModel` clock (starting at 0),
 * fresh fault injectors on the window's seam substreams, and a fresh
   :class:`~repro.resilience.ResilientReidScorer` / circuit breaker,
 * a private deep copy of the merger (its own checkpoint store).
 
-A window's result is therefore a pure function of
-``(seed, window index)`` — independent of worker count, backend and
-scheduling order — which is what the differential test layer
-(``tests/test_parallel_equivalence.py``) asserts bit-for-bit.  With
-``n_workers=1`` the same per-window tasks run inline in-process (no
-pool), straight through the pre-existing ``run_resilient_window`` code
-path; higher worker counts must reproduce that run exactly.
+A window's merge is therefore a pure function of ``(seed, window
+index)`` — independent of worker count, backend and scheduling order.
+With ``n_workers=1`` the same per-window tasks run inline in-process (no
+pool); higher worker counts must reproduce that run exactly
+(``tests/test_parallel_equivalence.py``).
 
-Note this regime intentionally differs from the *legacy* serial path
-(``IngestionPipeline(workers=None)``), which threads one ReID RNG
-stream, one feature cache, one clock and one breaker through all windows
-in order — state that cannot be split across workers without changing
-results.  See DESIGN.md §9 for the full argument.
+The paper caches extracted features and reuses them across windows
+(§IV-B), and window ``c`` pairs ``T_c`` with ``T_{c-1}`` (§II), so the
+features of ``T_{c-1}`` can be extracted by windows ``c-1`` and ``c``
+alone.  :class:`WindowFold` folds window outcomes in index order and
+charges each feature once per video, to the lowest-index window that
+extracts it: a window is refunded the extraction charges of features the
+previous window already extracted, exactly as if it had found them in a
+shared cache.  The fold reads only window outcomes in index order, so
+the reuse discount is worker-count invariant too, and the run clock,
+window ``simulated_seconds`` and cost counters equal those of one serial
+loop over one shared cache (``tests/test_reid_reuse.py``).
 
 Aggregation happens in window-index order regardless of completion
 order: window clocks fold into the run clock via
@@ -43,7 +47,7 @@ from __future__ import annotations
 import copy
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +62,7 @@ from repro.reid import CostModel, CostParams, ReidScorer, SimReIDModel
 from repro.resilience import ResilienceConfig, ResilientReidScorer
 from repro.synth.world import VideoGroundTruth
 from repro.telemetry import Telemetry
+from repro.telemetry.profiling import Profiler
 from repro.telemetry.tracing import Span
 
 #: Supported pool backends.
@@ -91,6 +96,7 @@ class ShardTask:
             a private deep copy.
         cost_params: simulated cost constants.
         items: the shard's window tasks, ascending by index.
+        reid_seed: root seed of the keyed ReID noise.
         fault_profile: optional chaos configuration.
         resilience: optional resilience tuning.
         with_telemetry: whether windows record worker-local telemetry.
@@ -103,6 +109,7 @@ class ShardTask:
     merger: Merger
     cost_params: CostParams | None
     items: list[WindowTask]
+    reid_seed: int
     fault_profile: FaultProfile | None = None
     resilience: ResilienceConfig | None = None
     with_telemetry: bool = False
@@ -118,6 +125,9 @@ class WindowOutcome:
         result: the merge result.
         cost_state: the window clock's
             :meth:`~repro.reid.cost.CostModel.state_dict`.
+        charges: the window clock's
+            :attr:`~repro.reid.cost.CostModel.extract_log` (which
+            features each extraction charge paid for).
         counters: the window's telemetry counter values (empty when the
             run is unobserved) — a delta by construction, since the
             worker registry starts empty.
@@ -131,16 +141,21 @@ class WindowOutcome:
         ledger_events: the window's decision events as
             :meth:`~repro.provenance.DecisionEvent.to_dict` payloads
             (empty when the run records no provenance).
+        profiler: the window's wall-clock
+            :class:`~repro.telemetry.profiling.Profiler` (``None`` when
+            the run is unobserved).
     """
 
     index: int
     result: MergeResult
     cost_state: dict[str, float]
+    charges: list[tuple[int, list[tuple[int, int]]]]
     counters: dict[str, float] = field(default_factory=dict)
     spans: list[dict] = field(default_factory=list)
     resilience_stats: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, dict] = field(default_factory=dict)
     ledger_events: list[dict] = field(default_factory=list)
+    profiler: Profiler | None = None
 
 
 def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
@@ -150,7 +165,7 @@ def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
     if telemetry is not None:
         telemetry.bind_clock(cost)
     seeds = item.seeds
-    model = SimReIDModel(shard.world, seed=seeds.model)
+    model = SimReIDModel(shard.world, seed=shard.reid_seed)
     profile = shard.fault_profile
     if profile is not None and profile.injects_reid_faults:
         model = profile.wrap_model(
@@ -203,14 +218,11 @@ def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
                 len(item.pairs),
                 where="ParallelExecutor",
             )
-    if telemetry is not None:
-        telemetry.observe(
-            "window.merge_ms", result.simulated_seconds * 1000.0
-        )
     return WindowOutcome(
         index=item.index,
         result=result,
         cost_state=cost.state_dict(),
+        charges=cost.extract_log,
         counters=(
             telemetry.metrics.counters_snapshot()
             if telemetry is not None
@@ -235,6 +247,7 @@ def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
             else {}
         ),
         ledger_events=ledger.to_dicts() if ledger is not None else [],
+        profiler=telemetry.profiler if telemetry is not None else None,
     )
 
 
@@ -286,6 +299,106 @@ class ParallelExecutor:
                     for outcome in shard_outcomes
                 ]
         return sorted(outcomes, key=lambda outcome: outcome.index)
+
+
+def _launches(count: int, batch: int) -> int:
+    """Batched calls needed for ``count`` crops: ``ceil(count / batch)``."""
+    return -(-count // batch)
+
+
+@dataclass
+class WindowFold:
+    """Folds window outcomes into run-level state, in window-index order.
+
+    Shared by :func:`run_windows` and the streaming service.  Each
+    :meth:`add` takes the next window's outcome and applies the
+    charge-once rule (module docstring) to its clock, its
+    ``simulated_seconds`` and its ``reid.invocations`` /
+    ``reid.batch_calls`` / ``cost.simulated_ms`` counters before folding
+    clock, resilience counters, telemetry and ledger.
+
+    Attributes:
+        cost: the run-level clock.
+        telemetry: optional run-level telemetry.
+        ledger: optional run-level decision ledger.
+        resilience_stats: per-window resilience counters, summed.
+        previous_keys: the features the previous window extracted.
+    """
+
+    cost: CostModel
+    telemetry: Telemetry | None = None
+    ledger: DecisionLedger | None = None
+    resilience_stats: dict[str, float] = field(default_factory=dict)
+    previous_keys: set[tuple[int, int]] = field(default_factory=set)
+
+    def add(
+        self, outcome: WindowOutcome | None
+    ) -> tuple[MergeResult | None, dict[str, float]]:
+        """Fold the next window; ``None`` marks one that extracted nothing.
+
+        Returns the window's re-charged result (``None`` for ``None``)
+        and its telemetry counter delta (``{}`` when unobserved).
+        """
+        if outcome is None:
+            self.previous_keys = set()
+            return None, {}
+        params = self.cost.params
+        state = dict(outcome.cost_state)
+        reused_total = calls_total = 0
+        refund_ms = 0.0
+        for batch, keys in outcome.charges:
+            reused = sum(1 for key in keys if key in self.previous_keys)
+            if not reused:
+                continue
+            reused_total += reused
+            if batch == 0:
+                state["n_extractions"] -= reused
+                refund_ms += reused * params.extract_ms
+                continue
+            # The batched call is re-priced as ceil((n - d) / batch)
+            # launches plus n - d items.
+            calls = _launches(len(keys), batch) - _launches(
+                len(keys) - reused, batch
+            )
+            state["n_batched_extractions"] -= reused
+            state["n_batch_calls"] -= calls
+            calls_total += calls
+            refund_ms += calls * params.batch_launch_ms
+            refund_ms += reused * params.batch_item_ms
+        state["ms"] -= refund_ms
+        counters = dict(outcome.counters)
+        if counters and reused_total:
+            counters["reid.invocations"] -= reused_total
+            counters["cost.simulated_ms"] -= refund_ms
+            if calls_total:
+                counters["reid.batch_calls"] -= calls_total
+        self.previous_keys = {
+            key for _, keys in outcome.charges for key in keys
+        }
+
+        result = replace(
+            outcome.result, simulated_seconds=state["ms"] / 1000.0
+        )
+        self.cost.merge_state(state)
+        for name, value in outcome.resilience_stats.items():
+            self.resilience_stats[name] = (
+                self.resilience_stats.get(name, 0.0) + value
+            )
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.metrics.merge_delta(counters)
+            telemetry.metrics.merge_histograms(outcome.histograms)
+            telemetry.observe(
+                "window.merge_ms", result.simulated_seconds * 1000.0
+            )
+            telemetry.tracer.absorb(
+                [Span.from_dict(payload) for payload in outcome.spans]
+            )
+            if outcome.profiler is not None:
+                telemetry.profiler.absorb(outcome.profiler)
+        if self.ledger is not None:
+            self.ledger.absorb(outcome.ledger_events)
+        return result, counters
 
 
 @dataclass
@@ -360,12 +473,12 @@ def run_windows(
 ) -> ParallelRun:
     """Run every window of one video through the sharded engine.
 
-    This is the mid-level API shared by
-    :class:`~repro.core.pipeline.IngestionPipeline` (``workers=`` path)
-    and :func:`~repro.experiments.sweeps.evaluate_merger`
-    (``workers=`` argument).  Results are bit-identical for every
-    ``n_workers`` and backend; see the module docstring for the
-    determinism argument.
+    This is the one window engine behind
+    :class:`~repro.core.pipeline.IngestionPipeline`,
+    :func:`~repro.experiments.sweeps.evaluate_merger` and the figure
+    functions.  Results are bit-identical for every ``n_workers`` and
+    backend; see the module docstring for the determinism argument and
+    the charge-once rule.
 
     Args:
         world: the simulated ground truth.
@@ -373,10 +486,10 @@ def run_windows(
         merger: the algorithm under test (cloned per window; never
             mutated here).
         cost_params: simulated cost constants.
-        reid_seed: root seed of the ReID extraction noise.
+        reid_seed: root seed of the keyed ReID noise.
         fault_profile: optional chaos configuration.
         resilience: optional resilience tuning (callers decide the
-            auto-on default, exactly as the legacy serial path does).
+            auto-on default).
         n_workers: worker count (``1`` = inline serial execution).
         backend: ``"process"`` or ``"thread"``.
         telemetry: optional run-level telemetry; worker-local counters,
@@ -391,7 +504,7 @@ def run_windows(
     n_windows = len(window_pairs)
     busy = [index for index, pairs in enumerate(window_pairs) if pairs]
     plan = ShardPlanner(n_workers).plan(busy)
-    seeds = window_seeds(reid_seed, n_windows, fault_profile)
+    seeds = window_seeds(n_windows, fault_profile)
     prototype = detached_merger(merger)
     tasks = [
         ShardTask(
@@ -403,6 +516,7 @@ def run_windows(
                 WindowTask(index=c, pairs=window_pairs[c], seeds=seeds[c])
                 for c in shard.window_indices
             ],
+            reid_seed=reid_seed,
             fault_profile=fault_profile,
             resilience=resilience,
             with_telemetry=telemetry is not None,
@@ -419,30 +533,16 @@ def run_windows(
         )
 
     by_index = {outcome.index: outcome for outcome in outcomes}
-    cost = CostModel(cost_params)
+    fold = WindowFold(CostModel(cost_params), telemetry, ledger)
     window_results: list[MergeResult] = []
     window_metrics: list[dict[str, float]] = []
-    stats_total: dict[str, float] = {}
     for c in range(n_windows):
-        outcome = by_index.get(c)
-        if outcome is None:
-            window_results.append(empty_merge_result(merger))
-            if telemetry is not None:
-                window_metrics.append({})
-            continue
-        window_results.append(outcome.result)
-        cost.merge_state(outcome.cost_state)
-        for name, value in outcome.resilience_stats.items():
-            stats_total[name] = stats_total.get(name, 0.0) + value
+        result, counters = fold.add(by_index.get(c))
+        window_results.append(
+            result if result is not None else empty_merge_result(merger)
+        )
         if telemetry is not None:
-            telemetry.metrics.merge_delta(outcome.counters)
-            telemetry.metrics.merge_histograms(outcome.histograms)
-            window_metrics.append(dict(outcome.counters))
-            telemetry.tracer.absorb(
-                [Span.from_dict(payload) for payload in outcome.spans]
-            )
-        if ledger is not None:
-            ledger.absorb(outcome.ledger_events)
+            window_metrics.append(counters)
     if telemetry is not None:
         for shard in plan.shards:
             with telemetry.span(
@@ -456,8 +556,8 @@ def run_windows(
                 pass
     return ParallelRun(
         window_results=window_results,
-        cost=cost,
+        cost=fold.cost,
         window_metrics=window_metrics,
-        resilience_stats=stats_total,
+        resilience_stats=fold.resilience_stats,
         plan=plan,
     )

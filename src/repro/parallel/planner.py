@@ -9,11 +9,12 @@ every random draw a pure function of ``(seed, window index)``:
 * **Shard assignment** is round-robin over the busy (non-empty) window
   indices, so the plan depends only on the window list and the worker
   count, never on scheduling order.
-* **Seed substreams** are derived per window with
+* **Fault seed substreams** are derived per window with
   :meth:`numpy.random.SeedSequence.spawn`: window ``c`` always receives
-  the ``c``-th child of the run's root sequence, so its ReID noise and
-  fault schedules are identical whether it runs first, last, in-process
-  or in a pool of eight workers.
+  the ``c``-th child of each fault seam's root sequence, so its fault
+  schedules are identical whether it runs first, last, in-process or in
+  a pool of eight workers.  ReID noise needs no substream: it is keyed
+  by detection (:mod:`repro.reid.model`).
 """
 
 from __future__ import annotations
@@ -28,17 +29,15 @@ from repro.faults.profiles import FaultProfile
 
 @dataclass(frozen=True)
 class WindowSeeds:
-    """Per-window seed substreams, one per randomness seam.
+    """Per-window seed substreams, one per fault seam (all ``None`` when
+    the run has no fault profile).
 
     Attributes:
-        model: substream of the ReID extraction noise.
-        call: substream of the ReID call-fault schedule (``None`` when
-            the run has no fault profile).
+        call: substream of the ReID call-fault schedule.
         corrupt: substream of the feature-corruption schedule.
         crash: substream of the window-crash schedule.
     """
 
-    model: np.random.SeedSequence
     call: np.random.SeedSequence | None = None
     corrupt: np.random.SeedSequence | None = None
     crash: np.random.SeedSequence | None = None
@@ -110,47 +109,41 @@ class ShardPlanner:
 
 
 def window_seeds(
-    reid_seed: int,
     n_windows: int,
     fault_profile: FaultProfile | None = None,
 ) -> list[WindowSeeds]:
-    """Derive every window's seed substreams from the run-level seeds.
+    """Derive every window's fault seed substreams.
 
-    Window ``c``'s model stream is ``SeedSequence(reid_seed).spawn(n)[c]``
-    and its fault streams are the ``c``-th children of the profile's
+    Window ``c``'s streams are the ``c``-th children of the profile's
     per-seam root sequences (see
     :meth:`~repro.faults.profiles.FaultProfile.window_seam_seeds`), so a
-    window's entire randomness is fixed by ``(seed, c)`` alone.
+    window's fault schedule is fixed by ``(seed, c)`` alone.
     """
     if n_windows < 0:
         raise ValueError("n_windows must be non-negative")
-    model_children = np.random.SeedSequence(reid_seed).spawn(n_windows)
     if fault_profile is None:
-        return [WindowSeeds(model=child) for child in model_children]
-    seams = fault_profile.window_seam_seeds(n_windows)
+        return [WindowSeeds() for _ in range(n_windows)]
     return [
-        WindowSeeds(model=model, call=call, corrupt=corrupt, crash=crash)
-        for model, (call, corrupt, crash) in zip(model_children, seams)
+        WindowSeeds(call=call, corrupt=corrupt, crash=crash)
+        for call, corrupt, crash in fault_profile.window_seam_seeds(n_windows)
     ]
 
 
 def single_window_seeds(
-    reid_seed: int,
     index: int,
     fault_profile: FaultProfile | None = None,
 ) -> WindowSeeds:
     """One window's seed substreams, without knowing the window count.
 
-    Bit-identical to ``window_seeds(reid_seed, n, fault_profile)[index]``
-    for every ``n > index`` — ``SeedSequence`` children are addressable
-    directly by spawn key, so the streaming service (which never knows
-    how many windows an unbounded feed will produce) derives exactly the
-    seeds the batch planner would have handed out.
+    Bit-identical to ``window_seeds(n, fault_profile)[index]`` for every
+    ``n > index`` — ``SeedSequence`` children are addressable directly
+    by spawn key, so the streaming service (which never knows how many
+    windows an unbounded feed will produce) derives exactly the seeds
+    the batch planner would have handed out.
     """
     if index < 0:
         raise ValueError("index must be non-negative")
-    model = np.random.SeedSequence(reid_seed, spawn_key=(index,))
     if fault_profile is None:
-        return WindowSeeds(model=model)
+        return WindowSeeds()
     call, corrupt, crash = fault_profile.window_seam_seed(index)
-    return WindowSeeds(model=model, call=call, corrupt=corrupt, crash=crash)
+    return WindowSeeds(call=call, corrupt=corrupt, crash=crash)

@@ -61,6 +61,12 @@ class CostModel:
     are observability, not simulation state: checkpoint restores rewind
     the clock but never the counters, so a replayed window's ReID calls
     are counted again — exactly what a cost dashboard should show.
+
+    Cache-backed extractions are charged through :meth:`charge_features`,
+    which also records which features each charge paid for
+    (:attr:`extract_log`).  The window fold
+    (:class:`~repro.parallel.executor.WindowFold`) reads that record to
+    charge every feature once per video.
     """
 
     def __init__(
@@ -81,6 +87,10 @@ class CostModel:
         self.n_overheads = 0
         self.n_waits = 0
         self.wait_ms = 0.0
+        #: One ``(batch, keys)`` entry per :meth:`charge_features` call,
+        #: in charge order: ``batch`` is the batch law's call size (0 =
+        #: unbatched) and ``keys`` the feature keys the charge paid for.
+        self.extract_log: list[tuple[int, list[tuple[int, int]]]] = []
 
     @property
     def seconds(self) -> float:
@@ -133,6 +143,22 @@ class CostModel:
         self._record(charged, "reid.invocations", count)
         if self.telemetry is not None:
             self.telemetry.count("reid.batch_calls", n_calls)
+
+    def charge_features(
+        self, keys: list[tuple[int, int]], batch_size: int | None = None
+    ) -> None:
+        """Charge one extraction call for the cache-missing ``keys``.
+
+        Unbatched (``batch_size=None``) or with the batch law, and
+        recorded in :attr:`extract_log`.  Extractions that bypass the
+        feature cache (the no-reuse PS/LCB paths) are charged with
+        :meth:`charge_extract` instead and never logged.
+        """
+        if batch_size is None:
+            self.charge_extract(len(keys))
+        else:
+            self.charge_extract_batched(len(keys), batch_size)
+        self.extract_log.append((batch_size or 0, list(keys)))
 
     def charge_distance(self, count: int = 1) -> None:
         """Charge ``count`` feature-pair distance evaluations."""

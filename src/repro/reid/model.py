@@ -7,6 +7,14 @@ unit-norm latent appearance vector, and "extracting a feature" returns the
 latent perturbed by noise whose magnitude grows as visibility drops (an
 occluded crop is a worse crop).  Clutter detections get their own stable
 pseudo-latents so false-positive tracks look like distinct objects.
+
+The noise of one crop is keyed, not streamed: it is drawn from a
+counter-based Philox stream whose key is ``(seed, domain)`` and whose
+counter starts at the detection's identity, the frame plus the
+arithmetic box key.  A feature is therefore a pure function of its key
+— like a real network's forward pass — so extraction order, model
+instances, processes and caches can never change a value (DESIGN.md
+§9).
 """
 
 from __future__ import annotations
@@ -82,23 +90,40 @@ class ReidParams:
             raise ValueError("dim must be >= 2")
 
 
+#: Noise-key domains: the offline ReID model and the trackers' cheap
+#: embedding head draw independent noise for the same detection.
+_REID_DOMAIN = 0
+_TRACKER_DOMAIN = 1
+
+_WORD = 2**64 - 1
+
+
+def _box_key(detection: Detection) -> int:
+    """Arithmetic key of a detection's box (``hash()`` is randomized per
+    process), at 1/1000-pixel resolution."""
+    return (
+        int(round(detection.bbox.x1 * 1000)) * 1_000_003
+        + int(round(detection.bbox.y1 * 1000)) * 10_007
+        + int(round(detection.bbox.x2 * 1000)) * 101
+        + int(round(detection.bbox.y2 * 1000))
+    )
+
+
 class SimReIDModel:
     """Feature extractor over a simulated world.
 
     Args:
         world: the GT video whose objects' latents back the features.
         params: noise configuration.
-        seed: seed of the extraction noise stream — an ``int`` or a
-            :class:`numpy.random.SeedSequence` substream (the parallel
-            engine passes per-window children so every window's noise
-            is independent of execution order).
+        seed: root seed of the keyed extraction noise, in
+            ``[0, 2**64)``.
     """
 
     def __init__(
         self,
         world: VideoGroundTruth,
         params: ReidParams | None = None,
-        seed: int | np.random.SeedSequence = 0,
+        seed: int = 0,
     ) -> None:
         self.params = params or ReidParams(dim=world.config.appearance_dim)
         if self.params.dim != world.config.appearance_dim:
@@ -106,8 +131,10 @@ class SimReIDModel:
                 "ReID dim must match the world's appearance_dim "
                 f"({self.params.dim} != {world.config.appearance_dim})"
             )
+        if not 0 <= int(seed) <= _WORD:
+            raise ValueError("seed must be in [0, 2**64)")
         self.world = world
-        self._rng = np.random.default_rng(seed)
+        self.seed = int(seed)
         self._clutter_latents: dict[int, np.ndarray] = {}
         self._pose_bases: dict[int, np.ndarray] = {}
 
@@ -123,12 +150,14 @@ class SimReIDModel:
             self._pose_bases[object_id] = basis
         return basis
 
-    def _pose_offset(self, detection: Detection) -> np.ndarray:
+    def _pose_offset(
+        self, detection: Detection, rng: np.random.Generator
+    ) -> np.ndarray:
         """Random-phase displacement in the source object's pose plane."""
         if self.params.pose_scale == 0 or detection.source_id is None:
             return np.zeros(self.params.dim)
         basis = self._pose_basis(detection.source_id)
-        phase = self._rng.uniform(0.0, 2.0 * np.pi)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
         return self.params.pose_scale * (
             np.cos(phase) * basis[0] + np.sin(phase) * basis[1]
         )
@@ -138,67 +167,62 @@ class SimReIDModel:
             return self.world.objects[detection.source_id].appearance
         # Stable pseudo-latent per clutter detection, derived from geometry
         # so repeated extraction of the same detection is consistent.
-        # (Arithmetic key — hash() is randomized per process.)
-        key = (
-            int(round(detection.bbox.x1 * 1000)) * 1_000_003
-            + int(round(detection.bbox.y1 * 1000)) * 10_007
-            + int(round(detection.bbox.x2 * 1000)) * 101
-            + int(round(detection.bbox.y2 * 1000))
-        )
+        key = _box_key(detection)
         if key not in self._clutter_latents:
             local = np.random.default_rng(abs(key) % (2**63))
             vec = local.normal(0.0, 1.0, size=self.params.dim)
             self._clutter_latents[key] = vec / np.linalg.norm(vec)
         return self._clutter_latents[key]
 
-    def extract(self, detection: Detection) -> np.ndarray:
+    def extract(self, detection: Detection, frame: int) -> np.ndarray:
         """Extract a feature vector for one detection (one "forward pass").
 
-        The result is unit-norm.  Cost accounting is the caller's job (see
-        :class:`~repro.reid.scorer.ReidScorer`), keeping the model pure.
+        The result is unit-norm and a pure function of ``(seed, frame,
+        box)``.  Cost accounting is the caller's job (see
+        :class:`~repro.reid.scorer.ReidScorer`).
         """
+        return self._feature(detection, _REID_DOMAIN, int(frame))
+
+    def _feature(
+        self, detection: Detection, domain: int, frame: int
+    ) -> np.ndarray:
+        """The feature of ``detection`` with noise keyed by
+        ``(seed, domain, frame, box)``.
+
+        Each key owns the Philox counter block ``(·, frame, box)``; draws
+        advance only the low word, so distinct keys never share a
+        stream (the Random123 counter-based idiom).
+        """
+        box = abs(_box_key(detection))
+        rng = np.random.Generator(
+            np.random.Philox(
+                counter=[0, frame, box & _WORD, box >> 64],
+                key=[self.seed, domain],
+            )
+        )
         params = self.params
         latent = self._latent_for(detection)
-        noise_scale = params.base_noise + params.occlusion_noise * (
-            1.0 - float(np.clip(detection.visibility, 0.0, 1.0))
-        )
+        occlusion = 1.0 - min(max(float(detection.visibility), 0.0), 1.0)
+        noise_scale = params.base_noise + params.occlusion_noise * occlusion
         # Per-crop quality: heavy-tailed multiplier plus occasional garbage
         # crops, so individual BBox-pair distances scatter widely around
         # the pair score (see ReidParams.quality_sigma).
         if params.quality_sigma > 0:
-            noise_scale *= float(
-                self._rng.lognormal(0.0, params.quality_sigma)
-            )
+            noise_scale *= float(rng.lognormal(0.0, params.quality_sigma))
         garbage_prob = min(
-            params.outlier_prob
-            + params.occlusion_outlier
-            * (1.0 - float(np.clip(detection.visibility, 0.0, 1.0))),
-            0.9,
+            params.outlier_prob + params.occlusion_outlier * occlusion, 0.9
         )
-        if garbage_prob > 0 and self._rng.random() < garbage_prob:
+        if garbage_prob > 0 and rng.random() < garbage_prob:
             noise_scale = max(noise_scale, params.outlier_noise)
-        noise = self._rng.normal(0.0, 1.0, size=params.dim)
+        noise = rng.normal(0.0, 1.0, size=params.dim)
         noise_norm = np.linalg.norm(noise)
         if noise_norm > 0:
             noise = noise * (noise_scale / noise_norm)
-        feature = latent + self._pose_offset(detection) + noise
+        feature = latent + self._pose_offset(detection, rng) + noise
         norm = np.linalg.norm(feature)
         if norm == 0:
             return latent.copy()
         return feature / norm
-
-    def rng_state(self) -> dict:
-        """JSON-able state of the extraction noise stream.
-
-        Together with :meth:`set_rng_state` this lets the checkpoint
-        layer resume a crashed window with the exact noise draws the
-        uninterrupted run would have made.
-        """
-        return dict(self._rng.bit_generator.state)
-
-    def set_rng_state(self, state: dict) -> None:
-        """Restore a noise-stream state captured by :meth:`rng_state`."""
-        self._rng.bit_generator.state = state
 
     def tracker_embedder(
         self, noise_multiplier: float = 1.5
@@ -208,7 +232,9 @@ class SimReIDModel:
         DeepSORT/UMA run a lightweight appearance descriptor online; giving
         them a *noisier* view of the latents than the offline ReID model
         preserves the paper's premise that trackers alone cannot eliminate
-        polyonymous tracks while TMerge's stronger model can.
+        polyonymous tracks while TMerge's stronger model can.  Its noise
+        is keyed in its own domain, by the box alone (trackers embed a
+        detection without its frame).
         """
         base = self.params
         cheap = SimReIDModel(
@@ -223,6 +249,10 @@ class SimReIDModel:
                 pose_scale=base.pose_scale,
                 dim=base.dim,
             ),
-            seed=int(self._rng.integers(2**63)),
+            seed=self.seed,
         )
-        return cheap.extract
+        return cheap._embed
+
+    def _embed(self, detection: Detection) -> np.ndarray:
+        """A tracker-domain feature (see :meth:`tracker_embedder`)."""
+        return self._feature(detection, _TRACKER_DOMAIN, 0)

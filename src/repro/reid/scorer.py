@@ -149,14 +149,11 @@ class ReidScorer:
     Args:
         model: the feature extractor.
         cost: the simulated clock to charge.
-        cache: optional shared cache (one per video lets feature reuse span
-            windows, as in the paper's streaming setting).
-        telemetry: observability sink.  When ``None`` the scorer creates a
-            private :class:`~repro.telemetry.Telemetry` (instance-scoped —
-            never a module singleton, see REPRO010) so its own counters
-            always have somewhere to live; run owners inject a shared one
-            to aggregate across components.  Either way it is propagated
-            to the cost model and cache unless those already carry one.
+        cache: optional shared cache (features are pure functions of
+            their keys, so sharing one is only a memo).
+        telemetry: optional observability sink, propagated to the cost
+            model and cache unless those already carry one.  ``None``
+            means off: no spans, no counters, no profiling.
     """
 
     def __init__(
@@ -170,24 +167,28 @@ class ReidScorer:
         self.cost = cost or CostModel()
         # Not `cache or ...`: an empty FeatureCache is falsy (len 0).
         self.cache = cache if cache is not None else FeatureCache()
-        self.telemetry = (
-            telemetry if telemetry is not None else Telemetry()
-        )
-        self.telemetry.bind_clock(self.cost)
-        if self.cost.telemetry is None:
-            self.cost.telemetry = self.telemetry
-        if self.cache.telemetry is None:
-            self.cache.telemetry = self.telemetry
+        self.telemetry = telemetry
+        #: Non-finite distances clamped by :meth:`_sanitize_distance`
+        #: (only ever non-zero when a faulty model is injected and the
+        #: resilience layer is not interposed).
+        self.n_nonfinite_clamped = 0
+        if telemetry is not None:
+            telemetry.bind_clock(self.cost)
+            if self.cost.telemetry is None:
+                self.cost.telemetry = telemetry
+            if self.cache.telemetry is None:
+                self.cache.telemetry = telemetry
 
-    @property
-    def n_nonfinite_clamped(self) -> int:
-        """Non-finite distances clamped by :meth:`_sanitize_distance`.
+    def _clamped(self, count: int) -> None:
+        """Count ``count`` clamped non-finite distances."""
+        self.n_nonfinite_clamped += count
+        if self.telemetry is not None:
+            self.telemetry.count("reid.nonfinite_clamped", count)
 
-        Backed by the ``reid.nonfinite_clamped`` telemetry counter
-        (only ever non-zero when a faulty model is injected and the
-        resilience layer is not interposed).
-        """
-        return int(self.telemetry.metrics.value("reid.nonfinite_clamped"))
+    def _extract(self, track: Track, index: int) -> np.ndarray:
+        """Run the model on the ``index``-th BBox of ``track`` (uncharged)."""
+        observation = track.observations[index]
+        return self.model.extract(observation.detection, observation.frame)
 
     def _sanitize_distance(self, distance: float, where: str) -> float:
         """Defend against non-finite distances from corrupted features.
@@ -195,14 +196,13 @@ class ReidScorer:
         Under ``REPRO_CHECK_INVARIANTS=1`` a non-finite distance raises
         a :class:`~repro.contracts.ContractViolation`; otherwise it is
         clamped to the maximum distance (treat corrupted evidence as
-        "not a match") and counted in the ``reid.nonfinite_clamped``
-        telemetry counter (readable as :attr:`n_nonfinite_clamped`).
+        "not a match") and counted in :attr:`n_nonfinite_clamped`.
         """
         if np.isfinite(distance):
             return float(distance)
         if contracts.ENABLED:
             contracts.check_finite_distance(distance, where=where)
-        self.telemetry.count("reid.nonfinite_clamped")
+        self._clamped(1)
         return _MAX_DISTANCE
 
     def _sanitize_normalize_many(
@@ -212,7 +212,7 @@ class ReidScorer:
 
         Elementwise bit-identical to mapping :meth:`_sanitize_distance`
         then :func:`normalize_distance` over ``distances`` (same IEEE
-        divide/clip; same ``reid.nonfinite_clamped`` count per clamped
+        divide/clip; same :attr:`n_nonfinite_clamped` count per clamped
         element; under runtime contracts the first non-finite raises, as
         in the scalar loop), but one numpy pass instead of a Python loop.
         """
@@ -223,9 +223,7 @@ class ReidScorer:
                 contracts.check_finite_distance(
                     float(arr[~finite][0]), where=where
                 )
-            self.telemetry.count(
-                "reid.nonfinite_clamped", int((~finite).sum())
-            )
+            self._clamped(int((~finite).sum()))
             arr = np.where(finite, arr, _MAX_DISTANCE)
         return np.clip(arr / _MAX_DISTANCE, 0.0, 1.0)
 
@@ -238,9 +236,8 @@ class ReidScorer:
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        detection = track.observations[index].detection
-        feature = self.model.extract(detection)
-        self.cost.charge_extract(1)
+        feature = self._extract(track, index)
+        self.cost.charge_features([key])
         self.cache.put(key, feature)
         return feature
 
@@ -264,8 +261,8 @@ class ReidScorer:
         extracts inside the BBox-pair loop.  Cached features are neither
         read nor written, so the caller pays the true per-draw price.
         """
-        fa = self.model.extract(track_a.observations[index_a].detection)
-        fb = self.model.extract(track_b.observations[index_b].detection)
+        fa = self._extract(track_a, index_a)
+        fb = self._extract(track_b, index_b)
         self.cost.charge_extract(2)
         self.cost.charge_distance(1)
         return float(np.linalg.norm(fa - fb))
@@ -308,15 +305,12 @@ class ReidScorer:
             else:
                 features[key] = cached
         if missing:
-            if batch_size is None:
-                self.cost.charge_extract(len(missing))
-            else:
-                self.cost.charge_extract_batched(
-                    len(missing), batch_size=2 * batch_size
-                )
+            self.cost.charge_features(
+                [keys[i] for i in missing],
+                None if batch_size is None else 2 * batch_size,
+            )
             for i in missing:
-                detection = track.observations[i].detection
-                feature = self.model.extract(detection)
+                feature = self._extract(track, i)
                 self.cache.put(keys[i], feature)
                 features[keys[i]] = feature
         return np.stack([features[key] for key in keys])
@@ -388,14 +382,12 @@ class ReidScorer:
                 else:
                     features[key] = cached
 
-        self.telemetry.count("reid.batched_requests", len(requests))
+        if self.telemetry is not None:
+            self.telemetry.count("reid.batched_requests", len(requests))
         if needed:
-            self.cost.charge_extract_batched(
-                len(needed), batch_size=2 * batch_size
-            )
+            self.cost.charge_features(list(needed), 2 * batch_size)
             for key, (track, idx) in needed.items():
-                detection = track.observations[idx].detection
-                feature = self.model.extract(detection)
+                feature = self._extract(track, idx)
                 self.cache.put(key, feature)
                 features[key] = feature
 
@@ -427,8 +419,8 @@ class ReidScorer:
         self.cost.charge_distance(len(requests))
         distances = []
         for track_a, ia, track_b, ib in requests:
-            fa = self.model.extract(track_a.observations[ia].detection)
-            fb = self.model.extract(track_b.observations[ib].detection)
+            fa = self._extract(track_a, ia)
+            fb = self._extract(track_b, ib)
             distances.append(float(np.linalg.norm(fa - fb)))
         return distances
 

@@ -92,13 +92,11 @@ class SequenceReidScorer(ReidScorer):
                     if key not in self.cache and key not in needed:
                         needed[key] = (track, index)
         if needed:
-            self.cost.charge_extract_batched(
-                len(needed),
-                batch_size=2 * batch_size * self.snippet_length,
+            self.cost.charge_features(
+                list(needed), 2 * batch_size * self.snippet_length
             )
             for key, (track, index) in needed.items():
-                detection = track.observations[index].detection
-                self.cache.put(key, self.model.extract(detection))
+                self.cache.put(key, self._extract(track, index))
 
         self.cost.charge_distance(len(requests))
         distances = []

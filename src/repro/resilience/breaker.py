@@ -36,13 +36,17 @@ class BreakerPolicy:
 
     Attributes:
         failure_threshold: consecutive failures that trip the breaker.
+            The default equals :class:`~repro.resilience.retry.RetryPolicy`'s
+            ``max_attempts``: breakers are window-local, and a window
+            stops calling ReID after its first call that exhausts its
+            retries, so a higher threshold could never trip.
         recovery_timeout_ms: simulated milliseconds the breaker stays
             open before admitting trial calls.
         trial_successes: consecutive half-open successes required to
             close the breaker again.
     """
 
-    failure_threshold: int = 5
+    failure_threshold: int = 3
     recovery_timeout_ms: float = 1000.0
     trial_successes: int = 1
 

@@ -2,8 +2,10 @@
 
 A checkpoint is a pure-JSON snapshot of *everything* a mid-window merge
 depends on: posterior arrays, sampling bookkeeping, the merger's RNG,
-the scorer's cache and cost counters, and the ReID model's RNG (fault
-schedules included).  Because the capture is complete, a window killed
+the scorer's cache, cost counters and extraction-charge record, and the
+fault injectors' RNGs.  The ReID model itself holds no state: its noise
+is keyed by detection, so a replayed extraction returns the same
+feature.  Because the capture is complete, a window killed
 by a :class:`~repro.faults.errors.WindowCrashError` and resumed from its
 last checkpoint reproduces the uninterrupted run *bit-exactly* — the
 acceptance test for this subsystem.
@@ -40,22 +42,26 @@ def restore_generator_state(rng: np.random.Generator, state: dict) -> None:
 
 
 def capture_scorer_state(scorer) -> dict:
-    """Snapshot a scorer's cache, cost clock, model RNG and breaker.
+    """Snapshot a scorer's cache, cost clock, fault RNGs and breaker.
 
     Works for both :class:`~repro.reid.scorer.ReidScorer` and
     :class:`~repro.resilience.scorer.ResilientReidScorer` (duck-typed on
-    the optional ``breaker`` attribute and the model's optional
-    ``rng_state`` method).
+    the optional ``breaker`` attribute and the optional ``rng_state``
+    method of a :class:`~repro.faults.injectors.FaultyReidModel`).
     """
     state: dict = {
         "cost": scorer.cost.state_dict(),
+        "charges": [
+            [batch, [list(key) for key in keys]]
+            for batch, keys in scorer.cost.extract_log
+        ],
         "cache": [
             [list(key), [float(x) for x in feature]]
             for key, feature in scorer.cache.items()
         ],
     }
-    model_state = getattr(scorer.model, "rng_state", None)
-    state["model"] = model_state() if callable(model_state) else None
+    fault_state = getattr(scorer.model, "rng_state", None)
+    state["faults"] = fault_state() if callable(fault_state) else None
     breaker = getattr(scorer, "breaker", None)
     if breaker is not None:
         state["breaker"] = breaker.state_dict()
@@ -65,15 +71,17 @@ def capture_scorer_state(scorer) -> dict:
 def restore_scorer_state(scorer, state: dict) -> None:
     """Restore a snapshot captured by :func:`capture_scorer_state`."""
     scorer.cost.load_state_dict(state["cost"])
+    scorer.cost.extract_log = [
+        (int(batch), [(int(key[0]), int(key[1])) for key in keys])
+        for batch, keys in state["charges"]
+    ]
     scorer.cache.clear()
     for key, feature in state["cache"]:
         scorer.cache.put(
             (int(key[0]), int(key[1])), np.asarray(feature, dtype=float)
         )
-    if state.get("model") is not None:
-        set_state = getattr(scorer.model, "set_rng_state", None)
-        if callable(set_state):
-            set_state(state["model"])
+    if state["faults"] is not None:
+        scorer.model.set_rng_state(state["faults"])
     breaker = getattr(scorer, "breaker", None)
     if breaker is not None and state.get("breaker") is not None:
         breaker.load_state_dict(state["breaker"])

@@ -2,8 +2,8 @@
 
 The online counterpart of the batch pipeline: events arrive from a
 replayable source, windows open and close incrementally under a
-watermark, each closing window merges through the parallel engine's
-window-local regime, completed windows are evicted (bounded memory),
+watermark, each closing window merges through the window engine of
+:mod:`repro.parallel`, completed windows are evicted (bounded memory),
 and the whole service state is checkpointed for crash-recoverable,
 bit-identical restart.
 """

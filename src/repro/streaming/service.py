@@ -4,8 +4,9 @@ This is the online counterpart of
 :class:`~repro.core.pipeline.IngestionPipeline`: frames arrive as
 :class:`~repro.streaming.events.FrameEvent`\\ s from a replayable source,
 a watermark advances, half-overlapping windows open and close
-incrementally, each closing window is merged through the parallel
-engine's *window-local* determinism regime, and everything a completed
+incrementally, each closing window is merged through the window engine
+of :mod:`repro.parallel` and folded by its
+:class:`~repro.parallel.executor.WindowFold`, and everything a completed
 window held is evicted — resident memory is bounded by the configured
 open-window count, never by feed length.
 
@@ -14,7 +15,8 @@ Robustness model
 * **Durable restart** — after every window emission the service writes a
   complete pure-JSON snapshot of its mutable state (source offset,
   intake queue, reorder buffer, tracker session, open-window buffers,
-  watermark, simulated clock, counters) to a
+  watermark, simulated clock, the previous window's extracted feature
+  keys, counters) to a
   :class:`~repro.resilience.CheckpointStore`.  A service killed at a
   window boundary and rebuilt from the store replays the source from the
   recorded offset and emits **bit-identical** results to an
@@ -60,6 +62,7 @@ from repro.faults.profiles import FaultProfile
 from repro.parallel.executor import (
     ParallelExecutor,
     ShardTask,
+    WindowFold,
     WindowOutcome,
     WindowTask,
     detached_merger,
@@ -77,15 +80,12 @@ from repro.streaming.events import (
 from repro.streaming.policy import BackpressurePolicy, IntakeQueue
 from repro.streaming.watermark import ReorderBuffer, WatermarkTracker
 from repro.telemetry import Telemetry
-from repro.telemetry.tracing import Span
 from repro.track.base import Track, Tracker
 
-#: Checkpoint schema version (bump on incompatible layout changes).
-#: v1 (pre-provenance) payloads lack the ``ledger`` / ``bp_active``
-#: keys; they restore fine into ledger-free services, but a service
-#: carrying a :class:`~repro.provenance.DecisionLedger` refuses them —
-#: pre-crash decision events would silently vanish otherwise.
-CHECKPOINT_VERSION = 2
+#: Checkpoint schema version (bump on incompatible layout changes).  v3
+#: adds the previous window's extracted feature keys (the window fold's
+#: charge-once state); any other version is refused.
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -196,7 +196,7 @@ class StreamingIngestionService:
             signal.
         policy: intake backpressure policy (default: lossless ``block``
             with capacity 64).
-        reid_seed: root seed of the per-window ReID substreams.
+        reid_seed: root seed of the keyed ReID noise.
         cost_params: simulated cost constants for window merges.
         frame_interval_ms: nominal feed spacing (latency accounting).
         fault_profile: optional chaos configuration (applied per window
@@ -296,8 +296,11 @@ class StreamingIngestionService:
         self.staged: FrameEvent | None = None
         self.counters: dict[str, float] = {}
         self.peak_open_windows = 0
-        self.cost = CostModel(self.cost_params)
-        self.resilience_stats: dict[str, float] = {}
+        #: Run clock, resilience counters and the previous window's
+        #: extracted features (the charge-once state).
+        self.fold = WindowFold(
+            CostModel(self.cost_params), self.telemetry, self.ledger
+        )
         #: Whether the last backpressure verdict was "degrade" — kept
         #: across checkpoints so the transition counter never double
         #: counts an edge replayed after a resume.
@@ -350,8 +353,11 @@ class StreamingIngestionService:
             ),
             "counters": dict(self.counters),
             "peak_open_windows": self.peak_open_windows,
-            "cost": self.cost.state_dict(),
-            "resilience_stats": dict(self.resilience_stats),
+            "cost": self.fold.cost.state_dict(),
+            "resilience_stats": dict(self.fold.resilience_stats),
+            "charged_keys": sorted(
+                list(key) for key in self.fold.previous_keys
+            ),
             "bp_active": self._bp_active,
             "ledger": (
                 self.ledger.state_dict()
@@ -368,18 +374,9 @@ class StreamingIngestionService:
         payload = self.store.load(["stream", self.checkpoint_key])
         if payload is None:
             return False
-        version = int(payload["version"])
-        if version < 1 or version > CHECKPOINT_VERSION:
+        if int(payload["version"]) != CHECKPOINT_VERSION:
             raise ValueError(
                 f"checkpoint version {payload['version']} not supported"
-            )
-        if version < 2 and self.ledger is not None:
-            # A pre-provenance snapshot carries no ledger state: resuming
-            # it into a ledger-attached service would silently drop every
-            # pre-crash decision event.  Refuse loudly instead.
-            raise ValueError(
-                "checkpoint version 1 carries no decision-ledger state; "
-                "resume without a ledger or restart from scratch"
             )
         self.position = int(payload["position"])
         self.now_ms = float(payload["now_ms"])
@@ -407,14 +404,16 @@ class StreamingIngestionService:
             str(k): float(v) for k, v in payload["counters"].items()
         }
         self.peak_open_windows = int(payload["peak_open_windows"])
-        self.cost = CostModel(self.cost_params)
-        self.cost.load_state_dict(payload["cost"])
-        self.resilience_stats = {
+        self.fold.cost.load_state_dict(payload["cost"])
+        self.fold.resilience_stats = {
             str(k): float(v)
             for k, v in payload["resilience_stats"].items()
         }
-        self._bp_active = bool(payload.get("bp_active", False))
-        if self.ledger is not None and payload.get("ledger") is not None:
+        self.fold.previous_keys = {
+            (int(tid), int(index)) for tid, index in payload["charged_keys"]
+        }
+        self._bp_active = bool(payload["bp_active"])
+        if self.ledger is not None and payload["ledger"] is not None:
             self.ledger.load_state_dict(payload["ledger"])
         return True
 
@@ -476,8 +475,8 @@ class StreamingIngestionService:
             watermark=self.watermark.watermark,
             position=self.position,
             stopped=stopped,
-            cost=self.cost,
-            resilience_stats=dict(self.resilience_stats),
+            cost=self.fold.cost,
+            resilience_stats=dict(self.fold.resilience_stats),
             window_metrics=self._window_metrics,
         )
 
@@ -662,10 +661,11 @@ class StreamingIngestionService:
                             index=index,
                             pairs=pairs,
                             seeds=single_window_seeds(
-                                self.reid_seed, index, self.fault_profile
+                                index, self.fault_profile
                             ),
                         )
                     ],
+                    reid_seed=self.reid_seed,
                     fault_profile=self.fault_profile,
                     resilience=self._effective_resilience(),
                     with_telemetry=self.telemetry is not None,
@@ -686,23 +686,9 @@ class StreamingIngestionService:
         tracks = self._tracks_of(index)
         prev = self._previous_tracks_of(index)
         pairs = build_track_pairs(tracks, prev)
-        if outcome is not None:
-            result = outcome.result
-            self.cost.merge_state(outcome.cost_state)
-            for name, value in outcome.resilience_stats.items():
-                self.resilience_stats[name] = (
-                    self.resilience_stats.get(name, 0.0) + value
-                )
-            if self.telemetry is not None:
-                self.telemetry.metrics.merge_delta(outcome.counters)
-                self.telemetry.metrics.merge_histograms(outcome.histograms)
-                self.telemetry.tracer.absorb(
-                    [Span.from_dict(p) for p in outcome.spans]
-                )
-            if self.ledger is not None:
-                self.ledger.absorb(outcome.ledger_events)
-            self._window_metrics.append(dict(outcome.counters))
-        else:
+        result, counters = self.fold.add(outcome)
+        self._window_metrics.append(counters)
+        if result is None:
             if entry["degraded"] and pairs:
                 result = spatial_fallback_result(self.merger, pairs, 0.0)
                 self._count("stream.windows_degraded")
@@ -718,8 +704,7 @@ class StreamingIngestionService:
                     )
             else:
                 result = empty_merge_result(self.merger)
-            self._window_metrics.append({})
-        if result.degraded and outcome is not None:
+        elif result.degraded:
             self._count("stream.windows_degraded")
 
         self.now_ms += result.simulated_seconds * 1000.0

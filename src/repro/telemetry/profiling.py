@@ -61,6 +61,19 @@ class Profiler:
         stats.total_seconds += seconds
         stats.max_seconds = max(stats.max_seconds, seconds)
 
+    def absorb(self, other: "Profiler") -> None:
+        """Add another profiler's accumulated stats into this one.
+
+        The window engine uses this to bring worker profiles home.
+        """
+        for theirs in other._stats.values():
+            mine = self._stats.get(theirs.name)
+            if mine is None:
+                mine = self._stats[theirs.name] = FunctionStats(theirs.name)
+            mine.calls += theirs.calls
+            mine.total_seconds += theirs.total_seconds
+            mine.max_seconds = max(mine.max_seconds, theirs.max_seconds)
+
     def hotspots(self, top: int = 10) -> list[FunctionStats]:
         """The ``top`` most expensive functions by total wall time."""
         ranked = sorted(

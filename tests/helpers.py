@@ -87,6 +87,7 @@ class StubReidModel:
     Features are deterministic functions of the detection's source id:
     same-source BBoxes map to identical (or mildly noisy) vectors, so
     same-source pairs have distance ~0 and different-source pairs ~sqrt(2).
+    The optional noise comes from one seeded stream (``frame`` is ignored).
     """
 
     def __init__(self, dim: int = 8, noise: float = 0.0, seed: int = 0):
@@ -105,7 +106,7 @@ class StubReidModel:
             self._latents[source_id] = vec / np.linalg.norm(vec)
         return self._latents[source_id]
 
-    def extract(self, detection) -> np.ndarray:
+    def extract(self, detection, frame: int) -> np.ndarray:
         latent = self._latent(detection.source_id)
         if self.noise == 0.0:
             return latent.copy()

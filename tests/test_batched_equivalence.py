@@ -9,11 +9,9 @@ Three guarantees are enforced here:
 * **B=1 ≡ scalar** — ``batch_size=1`` degenerates to the scalar
   algorithm bit-for-bit, across seeds × fault profiles × worker counts
   (the pipeline-level knob threads end to end).
-* **Checkpoint compatibility** — a v1 (pre-batch) snapshot
-  (``tests/fixtures/checkpoint_v1.json``) still loads and completes on
-  the scalar path bit-identically; a batched run checkpointed mid-window
-  resumes bit-identically; mismatched batch sizes or unknown versions
-  refuse loudly.
+* **Checkpoint compatibility** — a batched run checkpointed mid-window
+  resumes bit-identically; mismatched batch sizes and older or newer
+  schema versions refuse loudly.
 
 The underlying RNG draw-order contract (one ``rng.random(m)`` call
 consumes the PCG64 stream exactly like ``m`` scalar calls) is asserted
@@ -171,18 +169,19 @@ def tracked(chaos_world):
 
 @pytest.mark.parametrize("profile", (None, "flaky-reid", "window-crash"))
 @pytest.mark.parametrize("seed", (1, 5))
-@pytest.mark.parametrize("workers", (None, 2))
+@pytest.mark.parametrize("workers", (None, 2))  # None: the pipeline default
 def test_pipeline_batch_one_matches_scalar(
     make_pipeline, chaos_world, tracked, profile, seed, workers
 ):
     """The run-level B=1 override is bit-identical to a scalar merger."""
     detections, tracks = tracked
+    fan_out = {} if workers is None else {"workers": workers}
 
     def run(**overrides):
         pipeline = make_pipeline(
             window_length=100,
             reid_seed=seed,
-            workers=workers,
+            **fan_out,
             parallel_backend="thread",
             fault_profile=(
                 None if profile is None
@@ -239,34 +238,6 @@ def test_make_pipeline_env_seam(make_pipeline, monkeypatch):
 # Checkpoint forward/backward compatibility
 # ----------------------------------------------------------------------
 class TestCheckpointCompat:
-    @pytest.fixture(scope="class")
-    def v1_fixture(self):
-        with open(FIXTURES / "checkpoint_v1.json") as fh:
-            return json.load(fh)
-
-    def test_v1_checkpoint_resumes_scalar_bit_identically(self, v1_fixture):
-        """A pre-batch snapshot completes exactly as the original run."""
-        pairs, scorer = _workload()
-        store = CheckpointStore()
-        store.save([list(p.key) for p in pairs], v1_fixture["payload"])
-        result = TMerge(
-            checkpoint_store=store, **v1_fixture["config"]
-        ).run(pairs, scorer)
-        got = _merge_fingerprint(result, scorer)
-        del got["extra"]
-        assert got == v1_fixture["reference"]
-
-    def test_v1_checkpoint_refused_on_batched_path(self, v1_fixture):
-        pairs, scorer = _workload()
-        store = CheckpointStore()
-        store.save([list(p.key) for p in pairs], v1_fixture["payload"])
-        with pytest.raises(ValueError, match="scalar path"):
-            TMerge(
-                checkpoint_store=store,
-                batch_size=8,
-                **v1_fixture["config"],
-            ).run(pairs, scorer)
-
     def _captured_payload(self, *, batch_size, capture_tau, **kwargs):
         """Run once uninterrupted, spying out one mid-window snapshot."""
         pairs, scorer = _workload()
@@ -330,6 +301,23 @@ class TestCheckpointCompat:
         store.save([list(p.key) for p in pairs], payload)
         with pytest.raises(ValueError, match="newer"):
             merger.run(pairs, scorer)
+
+    @pytest.mark.parametrize("version", (1, 2, CHECKPOINT_VERSION - 1))
+    def test_older_version_refused(self, version):
+        """Pre-v4 payloads carry the model RNG and no charge record."""
+        payload, _ = self._captured_payload(
+            batch_size=None, capture_tau=80,
+            k=0.2, tau_max=200, seed=4, checkpoint_interval=40,
+        )
+        payload["version"] = version
+        pairs, scorer = _workload()
+        store = CheckpointStore()
+        store.save([list(p.key) for p in pairs], payload)
+        with pytest.raises(ValueError, match="older"):
+            TMerge(
+                checkpoint_store=store,
+                k=0.2, tau_max=200, seed=4, checkpoint_interval=40,
+            ).run(pairs, scorer)
 
     def test_none_and_one_share_scalar_checkpoints(self):
         """batch_size=None and =1 are the same regime: snapshots swap."""

@@ -175,11 +175,13 @@ class TestFaultyReidModel:
         faulty = FaultyReidModel(faulty_inner, call_injector=injector)
         for _ in range(3):
             with pytest.raises(ReidFaultError):
-                faulty.extract(detection)
+                faulty.extract(detection, 0)
         injector.failure_rate = 0.0
         # After three failed calls the wrapped model's noise stream is
         # untouched: the next extraction matches a fault-free model's first.
-        assert np.allclose(faulty.extract(detection), plain.extract(detection))
+        assert np.allclose(
+            faulty.extract(detection, 0), plain.extract(detection, 0)
+        )
 
     def test_rng_state_roundtrip_replays_schedule(self):
         detection = make_detection()
@@ -187,11 +189,11 @@ class TestFaultyReidModel:
             reid_failure_rate=0.3, corrupt_rate=0.3, corrupt_mode="nan", seed=9
         )
         # Noise-free stub: the trace depends only on the injector RNGs,
-        # which is exactly what rng_state() captures for a plain model.
+        # which is exactly what rng_state() captures.
         model = profile.wrap_model(StubReidModel(noise=0.0, seed=1))
         for _ in range(5):
             try:
-                model.extract(detection)
+                model.extract(detection, 0)
             except ReidFaultError:
                 pass
         saved = model.rng_state()
@@ -200,7 +202,7 @@ class TestFaultyReidModel:
             out = []
             for _ in range(20):
                 try:
-                    out.append(float(np.nansum(m.extract(detection))))
+                    out.append(float(np.nansum(m.extract(detection, 0))))
                 except ReidFaultError:
                     out.append(None)
             return out

@@ -59,39 +59,46 @@ class TestShardPlanner:
         assert plan.covered_indices() == []
 
 
+def _flaky(seed=11):
+    from repro.faults import fault_profile
+
+    return fault_profile("flaky-reid", seed=seed)
+
+
 class TestWindowSeeds:
+    """Per-window fault seams (ReID noise is keyed, so needs none)."""
+
     def test_deterministic(self):
-        first = window_seeds(7, 4)
-        second = window_seeds(7, 4)
+        first = window_seeds(4, _flaky())
+        second = window_seeds(4, _flaky())
         for a, b in zip(first, second):
-            assert a.model.entropy == b.model.entropy
-            assert a.model.spawn_key == b.model.spawn_key
+            assert a.crash.entropy == b.crash.entropy
+            assert a.crash.spawn_key == b.crash.spawn_key
 
     def test_windows_independent(self):
-        seeds = window_seeds(7, 4)
+        seeds = window_seeds(4, _flaky())
         draws = [
-            np.random.default_rng(s.model).random() for s in seeds
+            np.random.default_rng(s.crash).random() for s in seeds
         ]
         assert len(set(draws)) == len(draws)
 
     def test_prefix_stable(self):
         """Window c's substream does not depend on the window count."""
-        short = window_seeds(7, 3)
-        long = window_seeds(7, 6)
+        short = window_seeds(3, _flaky())
+        long = window_seeds(6, _flaky())
         for a, b in zip(short, long):
-            assert a.model.spawn_key == b.model.spawn_key
+            assert a.crash.spawn_key == b.crash.spawn_key
 
     def test_no_profile_leaves_fault_seams_unset(self):
-        seeds = window_seeds(7, 2)
+        seeds = window_seeds(2)
+        assert len(seeds) == 2
         assert all(
             s.call is None and s.corrupt is None and s.crash is None
             for s in seeds
         )
 
     def test_profile_fills_fault_seams(self):
-        from repro.faults import fault_profile
-
-        seeds = window_seeds(7, 3, fault_profile("flaky-reid", seed=11))
+        seeds = window_seeds(3, _flaky())
         assert all(
             s.call is not None and s.corrupt is not None
             and s.crash is not None
@@ -102,7 +109,7 @@ class TestWindowSeeds:
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
-            window_seeds(7, -1)
+            window_seeds(-1)
 
 
 class TestShardCoverContract:

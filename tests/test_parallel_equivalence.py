@@ -165,23 +165,11 @@ def test_workers_one_builds_no_pool(
     assert result.window_results
 
 
-def test_workers_none_keeps_legacy_path(
-    make_pipeline, chaos_world, tracked, monkeypatch
-):
-    """``workers=None`` must never reach the sharded engine."""
-    import repro.core.pipeline as pipeline_module
-
-    def explode(self, *args, **kwargs):
-        raise AssertionError("workers=None entered the sharded path")
-
-    monkeypatch.setattr(
-        pipeline_module.IngestionPipeline, "_run_sharded", explode
-    )
-    detections, tracks = tracked
-    result = make_pipeline(window_length=100).run_on_tracks(
-        chaos_world, detections, tracks
-    )
-    assert result.window_results
+@pytest.mark.parametrize("workers", (None, 0, 1.5))
+def test_workers_must_be_a_positive_int(make_pipeline, workers):
+    """There is one window engine: ``workers`` only picks its fan-out."""
+    with pytest.raises(ValueError, match="workers"):
+        make_pipeline(workers=workers)
 
 
 def test_sweeps_workers_matches_serial(chaos_world):

@@ -23,7 +23,11 @@ from repro.core.tmerge import TMerge
 from repro.faults import fault_profile
 from repro.provenance import DecisionLedger
 from repro.resilience import CheckpointStore
-from repro.streaming import StreamingIngestionService, SyntheticFeedSource
+from repro.streaming import (
+    CHECKPOINT_VERSION,
+    StreamingIngestionService,
+    SyntheticFeedSource,
+)
 from repro.track import TracktorTracker
 
 SEEDS = (1, 5)
@@ -169,7 +173,7 @@ class TestPipelineTransparency:
     def test_serial_path_transparent(
         self, make_pipeline, chaos_world, tracked
     ):
-        """The inline (workers=None) path is transparent too."""
+        """The default inline (workers=1) path is transparent too."""
         detections, tracks = tracked
         plain = make_pipeline(window_length=100).run_on_tracks(
             chaos_world, detections, tracks
@@ -299,34 +303,17 @@ class TestStreamingLedger:
         assert observed.fingerprints() == plain.fingerprints()
         assert observed.counters == plain.counters
 
-    def test_v1_snapshot_refused_with_ledger(self, chaos_world):
-        """Pre-provenance snapshots cannot resume into a ledger run."""
+    def test_older_version_refused(self, chaos_world):
+        """Pre-v3 snapshots carry no charge-once state: refused."""
         source = _source(chaos_world)
         store = CheckpointStore()
         _service(store).run(source, stop_after_windows=2)
-        payload = store.load(["stream", "stream"])
-        payload = json.loads(json.dumps(payload))
-        payload["version"] = 1
-        payload.pop("ledger", None)
-        payload.pop("bp_active", None)
-        store.save(["stream", "stream"], payload)
-        with pytest.raises(ValueError, match="ledger"):
-            _service(store, ledger=DecisionLedger()).run(source)
-
-    def test_v1_snapshot_fine_without_ledger(self, chaos_world):
-        source = _source(chaos_world)
-        reference = _service(CheckpointStore()).run(source)
-
-        store = CheckpointStore()
-        first = _service(store).run(source, stop_after_windows=2)
         payload = json.loads(json.dumps(store.load(["stream", "stream"])))
-        payload["version"] = 1
-        payload.pop("ledger", None)
-        payload.pop("bp_active", None)
+        payload["version"] = CHECKPOINT_VERSION - 1
+        payload.pop("charged_keys")
         store.save(["stream", "stream"], payload)
-        resumed = _service(store).run(source)
-        stitched = first.fingerprints() + resumed.fingerprints()
-        assert stitched == reference.fingerprints()
+        with pytest.raises(ValueError, match="not supported"):
+            _service(store, ledger=DecisionLedger()).run(source)
 
     def test_future_version_refused(self, chaos_world):
         source = _source(chaos_world)
@@ -344,14 +331,14 @@ class TestStreamingLedger:
         ledger = DecisionLedger()
         _service(store, ledger=ledger).run(source, stop_after_windows=2)
         payload = store.load(["stream", "stream"])
-        assert payload["version"] == 2
+        assert payload["version"] == CHECKPOINT_VERSION
         assert payload["ledger"] is not None
         assert payload["ledger"]["events"] == ledger.to_dicts()
 
 
 class TestTMergeCheckpointCompat:
-    """TMerge v3 schema: ledger state rides along; a snapshot without
-    it refuses to resume into a ledger-attached run.
+    """TMerge checkpoint schema: ledger state rides along; a snapshot
+    without it refuses to resume into a ledger-attached run.
 
     These tests use a *noiseless* scorer: TMerge checkpoints never
     capture the caller-owned scorer's RNG, so after a resume the raw

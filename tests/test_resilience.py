@@ -275,8 +275,8 @@ class TestResilientScorer:
                 self.model = model
                 self.remaining = 1
 
-            def extract(self, detection):
-                feature = self.model.extract(detection)
+            def extract(self, detection, frame):
+                feature = self.model.extract(detection, frame)
                 if self.remaining > 0:
                     self.remaining -= 1
                     return np.full_like(feature, np.nan)

@@ -196,22 +196,18 @@ class TestLazyWindowSeeds:
     def test_single_window_seeds_match_batch_list(self):
         from repro.parallel.planner import single_window_seeds, window_seeds
 
-        batch = window_seeds(reid_seed=7, n_windows=6)
+        batch = window_seeds(n_windows=6)
         for c in (0, 3, 5):
-            lazy = single_window_seeds(7, c)
-            assert (
-                lazy.model.generate_state(4).tolist()
-                == batch[c].model.generate_state(4).tolist()
-            )
+            assert single_window_seeds(c) == batch[c]
 
     def test_fault_seams_match_batch_list(self):
         from repro.faults import fault_profile
         from repro.parallel.planner import single_window_seeds, window_seeds
 
         profile = fault_profile("flaky-reid", seed=11)
-        batch = window_seeds(5, 4, profile)
+        batch = window_seeds(4, profile)
         for c in (0, 2, 3):
-            lazy = single_window_seeds(5, c, profile)
+            lazy = single_window_seeds(c, profile)
             for name in ("call", "corrupt", "crash"):
                 a = getattr(lazy, name)
                 b = getattr(batch[c], name)

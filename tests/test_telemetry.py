@@ -309,6 +309,24 @@ class TestPipelineIntegration:
         plain, _, _ = runs
         assert plain.window_metrics == []
 
+    def test_off_constructs_no_telemetry(self, monkeypatch):
+        """Telemetry off is off: a plain run never builds a sink."""
+        import repro.telemetry.facade as facade
+        from repro.experiments.prep import prepare_dataset
+        from repro.experiments.sweeps import evaluate_merger
+
+        videos = prepare_dataset("mot17", 1, seed=0, n_frames=300)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("Telemetry constructed in a plain run")
+
+        monkeypatch.setattr(facade.Telemetry, "__init__", refuse)
+        assert _pipeline().run(tiny_world(n_frames=600, seed=4)).cost.seconds
+        point = evaluate_merger(
+            lambda: TMerge(k=0.1, tau_max=100, batch_size=10, seed=3), videos
+        )
+        assert point.reid_invocations > 0
+
     def test_counters_match_cost_model(self, runs):
         _, observed, telemetry = runs
         total_invocations = (
@@ -324,6 +342,12 @@ class TestPipelineIntegration:
         assert telemetry.metrics.value(
             "tmerge.thompson_draws"
         ) > 0
+
+    def test_worker_profiles_come_home(self, runs):
+        _, observed, telemetry = runs
+        stats = {s.name: s for s in telemetry.profiler.hotspots(top=50)}
+        busy = sum(1 for pairs in observed.window_pairs if pairs)
+        assert stats["TMerge.run"].calls == busy
 
     def test_spans_cover_every_window(self, runs):
         _, observed, telemetry = runs
