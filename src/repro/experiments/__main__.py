@@ -260,12 +260,17 @@ def run_parallel(args) -> str:
     once with the requested worker count, verifies the results are
     bit-identical (the engine's core guarantee), and reports wall-clock
     speedup.  Wall time here is honest measurement, not simulation —
-    speedup depends on the machine's core count.
+    speedup depends on the machine's core count.  Next to it, each
+    shard's pickled task and outcome bytes — what crosses the pool seam,
+    independent of the machine — from one more inline pass over the
+    same shard tasks.
     """
+    import pickle
     import time
 
     from repro.core.pipeline import IngestionPipeline
     from repro.core.tmerge import TMerge
+    from repro.parallel import execute_shard, shard_tasks
     from repro.synth.datasets import preset_by_name
     from repro.synth.world import simulate_world
     from repro.track.tracktor import TracktorTracker
@@ -275,14 +280,17 @@ def run_parallel(args) -> str:
     )
     n_workers = args.workers or 4
 
-    def measure(workers: int):
-        pipeline = IngestionPipeline(
+    def pipeline_for(workers: int) -> IngestionPipeline:
+        return IngestionPipeline(
             tracker=TracktorTracker(),
             merger=TMerge(k=0.05, tau_max=400, batch_size=10, seed=3),
             window_length=args.window_length,
             workers=workers,
             parallel_backend=args.parallel_backend,
         )
+
+    def measure(workers: int):
+        pipeline = pipeline_for(workers)
         start = time.perf_counter()
         result = pipeline.run(world)
         return time.perf_counter() - start, result
@@ -316,12 +324,41 @@ def run_parallel(args) -> str:
         f"Parallel engine — {args.parallel_backend} backend, "
         f"{len(serial.windows)} windows, results bit-identical",
     )
+
+    pipeline = pipeline_for(n_workers)
+    # The inline run left its sampling state on these pairs; a pool run
+    # ships them fresh.
+    for pairs in serial.window_pairs:
+        for pair in pairs:
+            pair.reset_sampling()
+    _, tasks = shard_tasks(
+        world=world,
+        window_pairs=serial.window_pairs,
+        merger=pipeline.merger,
+        cost_params=pipeline.cost_params,
+        reid_seed=pipeline.reid_seed,
+        n_workers=n_workers,
+    )
+    seam_rows = [
+        [
+            task.shard_id,
+            len(task.items),
+            len(pickle.dumps(task)),
+            len(pickle.dumps(execute_shard(task))),
+        ]
+        for task in tasks
+    ]
+    seam = format_table(
+        ["shard", "windows", "task bytes", "outcome bytes"],
+        seam_rows,
+        "Pool seam — pickled bytes per shard",
+    )
     footer = (
         f"windows: {len(serial.windows)}, "
         f"candidates: {len(serial.selected_pairs)}, "
         f"simulated merge seconds: {serial.total_simulated_seconds:.1f}"
     )
-    return f"{table}\n\n{footer}"
+    return f"{table}\n\n{seam}\n\n{footer}"
 
 
 def run_serve(args) -> str:
@@ -753,13 +790,13 @@ def main(argv: list[str] | None = None) -> int:
         "--frames",
         type=int,
         default=400,
-        help="video length for the telemetry run (telemetry only)",
+        help="video length (telemetry, parallel; default 400)",
     )
     parser.add_argument(
         "--window-length",
         type=int,
         default=200,
-        help="window length for the telemetry run (telemetry only)",
+        help="window length (telemetry, parallel; default 200)",
     )
     parser.add_argument(
         "--workers",

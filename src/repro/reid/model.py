@@ -19,6 +19,7 @@ instances, processes and caches can never change a value (DESIGN.md
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,7 +111,14 @@ def _box_key(detection: Detection) -> int:
 
 
 class SimReIDModel:
-    """Feature extractor over a simulated world.
+    """Feature extractor over a simulated world's appearance latents.
+
+    The model keeps only what extraction reads: the latent table
+    (object id → appearance vector) and the noise parameters.  It holds
+    no reference to the world's per-frame ground truth, so a pickled
+    model — what the parallel engine ships to its workers — is the
+    latent table (tens of kilobytes) plus a few scalars.  The clutter-latent and pose-basis memos are dropped on
+    pickling and copying (they are pure functions of their keys).
 
     Args:
         world: the GT video whose objects' latents back the features.
@@ -133,10 +141,25 @@ class SimReIDModel:
             )
         if not 0 <= int(seed) <= _WORD:
             raise ValueError("seed must be in [0, 2**64)")
-        self.world = world
+        self.latents: dict[int, np.ndarray] = {
+            object_id: obj.appearance
+            for object_id, obj in world.objects.items()
+        }
         self.seed = int(seed)
         self._clutter_latents: dict[int, np.ndarray] = {}
         self._pose_bases: dict[int, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        return {
+            "params": self.params,
+            "latents": self.latents,
+            "seed": self.seed,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clutter_latents = {}
+        self._pose_bases = {}
 
     def _pose_basis(self, object_id: int) -> np.ndarray:
         """The object's 2-D pose subspace, an orthonormal ``(2, dim)``."""
@@ -164,7 +187,7 @@ class SimReIDModel:
 
     def _latent_for(self, detection: Detection) -> np.ndarray:
         if detection.source_id is not None:
-            return self.world.objects[detection.source_id].appearance
+            return self.latents[detection.source_id]
         # Stable pseudo-latent per clutter detection, derived from geometry
         # so repeated extraction of the same detection is consistent.
         key = _box_key(detection)
@@ -237,19 +260,16 @@ class SimReIDModel:
         detection without its frame).
         """
         base = self.params
-        cheap = SimReIDModel(
-            self.world,
-            params=ReidParams(
-                base_noise=base.base_noise * noise_multiplier,
-                occlusion_noise=base.occlusion_noise * noise_multiplier,
-                quality_sigma=base.quality_sigma,
-                outlier_prob=min(base.outlier_prob * noise_multiplier, 0.9),
-                occlusion_outlier=base.occlusion_outlier,
-                outlier_noise=base.outlier_noise,
-                pose_scale=base.pose_scale,
-                dim=base.dim,
-            ),
-            seed=self.seed,
+        cheap = copy.copy(self)
+        cheap.params = ReidParams(
+            base_noise=base.base_noise * noise_multiplier,
+            occlusion_noise=base.occlusion_noise * noise_multiplier,
+            quality_sigma=base.quality_sigma,
+            outlier_prob=min(base.outlier_prob * noise_multiplier, 0.9),
+            occlusion_outlier=base.occlusion_outlier,
+            outlier_noise=base.outlier_noise,
+            pose_scale=base.pose_scale,
+            dim=base.dim,
         )
         return cheap._embed
 

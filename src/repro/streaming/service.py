@@ -70,7 +70,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.planner import single_window_seeds
 from repro.provenance import EVENT_DEGRADE, DecisionLedger
-from repro.reid import CostModel, CostParams
+from repro.reid import CostModel, CostParams, SimReIDModel
 from repro.resilience import CheckpointStore, ResilienceConfig
 from repro.streaming.events import (
     DEFAULT_FRAME_INTERVAL_MS,
@@ -442,7 +442,7 @@ class StreamingIngestionService:
         resumed = self._try_restore()
         if not resumed:
             self._reset_state()
-        self._world = source.world
+        self._model = SimReIDModel(source.world, seed=self.reid_seed)
         self._emissions: list[WindowEmission] = []
         self._window_metrics: list[dict[str, float]] = []
         self._stop_after = stop_after_windows
@@ -653,7 +653,7 @@ class StreamingIngestionService:
             tasks.append(
                 ShardTask(
                     shard_id=index,
-                    world=self._world,
+                    model=self._model,
                     merger=detached_merger(self.merger),
                     cost_params=self.cost_params,
                     items=[
@@ -665,7 +665,6 @@ class StreamingIngestionService:
                             ),
                         )
                     ],
-                    reid_seed=self.reid_seed,
                     fault_profile=self.fault_profile,
                     resilience=self._effective_resilience(),
                     with_telemetry=self.telemetry is not None,

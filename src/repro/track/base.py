@@ -11,6 +11,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.detect import Detection
 from repro.geometry import BBox
 
@@ -31,6 +33,12 @@ class TrackObservation:
 @dataclass
 class Track:
     """A tracker-produced track: a TID plus its ordered observations.
+
+    A track pickles as three numpy columns — frames; box, confidence and
+    visibility; source ids with ``-1`` for clutter (GT ids are
+    non-negative) — and rebuilds its observations on load, so a track
+    crosses a process pool as a few arrays instead of one pickled object
+    per observation, detection and box.
 
     Attributes:
         track_id: the tracking identifier (TID) assigned by the tracker.
@@ -96,6 +104,37 @@ class Track:
             or other.last_frame < self.first_frame
         )
 
+    def __reduce__(self) -> tuple:
+        frames = np.array([obs.frame for obs in self.observations], np.int64)
+        values = np.array(
+            [
+                (
+                    obs.detection.bbox.x1,
+                    obs.detection.bbox.y1,
+                    obs.detection.bbox.x2,
+                    obs.detection.bbox.y2,
+                    obs.detection.confidence,
+                    obs.detection.visibility,
+                )
+                for obs in self.observations
+            ],
+            np.float64,
+        ).reshape(-1, 6)
+        sources = np.array(
+            [
+                -1 if obs.detection.source_id is None
+                else obs.detection.source_id
+                for obs in self.observations
+            ],
+            np.int64,
+        )
+        clutter = sum(obs.detection.is_clutter for obs in self.observations)
+        if np.count_nonzero(sources < 0) != clutter:
+            raise ValueError(
+                f"track {self.track_id}: GT source ids must be non-negative"
+            )
+        return _track_from_columns, (self.track_id, frames, values, sources)
+
     def to_dict(self) -> dict:
         """Pure-JSON form (used by streaming service checkpoints)."""
         return {
@@ -113,6 +152,29 @@ class Track:
         for frame, detection in payload["observations"]:
             track.append(int(frame), Detection.from_dict(detection))
         return track
+
+
+def _track_from_columns(
+    track_id: int, frames: np.ndarray, values: np.ndarray, sources: np.ndarray
+) -> Track:
+    """Rebuild a track pickled by :meth:`Track.__reduce__`."""
+    return Track(
+        track_id,
+        [
+            TrackObservation(
+                frame,
+                Detection(
+                    BBox(x1, y1, x2, y2),
+                    confidence,
+                    None if source < 0 else source,
+                    visibility,
+                ),
+            )
+            for frame, (x1, y1, x2, y2, confidence, visibility), source in zip(
+                frames.tolist(), values.tolist(), sources.tolist()
+            )
+        ],
+    )
 
 
 class Tracker(abc.ABC):

@@ -7,6 +7,8 @@ the delta-merge seams (cost clock, metric counters, trace spans) the
 aggregation stage relies on.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,145 @@ class TestMergeResultExtraWidening:
         )
         payload = merge_result_to_dict(result)
         assert payload["extra"] == {"fallback": True, "label": "x"}
+
+
+class TestPoolSeamPayload:
+    """What crosses the pool seam: only what a window reads.
+
+    The guards read class names in the pickled bytes, which do not
+    depend on the machine.
+    """
+
+    @pytest.fixture(scope="class")
+    def engine_args(self, chaos_world):
+        from repro.core.tmerge import TMerge
+        from repro.detect import NoisyDetector
+        from repro.track import TracktorTracker
+
+        detections = NoisyDetector().detect_video(chaos_world, seed=2)
+        tracks = TracktorTracker().run(detections)
+        return dict(
+            world=chaos_world,
+            merger=TMerge(k=0.1, tau_max=300, batch_size=10, seed=3),
+            reid_seed=5,
+        ), tracks
+
+    @staticmethod
+    def _window_pairs(engine_args):
+        from repro.core.pairs import build_track_pairs
+        from repro.core.windows import WindowedTracks, partition_windows
+
+        args, tracks = engine_args
+        windows = partition_windows(args["world"].n_frames, 100)
+        windowed = WindowedTracks.assign(tracks, windows)
+        return [
+            build_track_pairs(
+                windowed.tracks_of(c), windowed.previous_tracks_of(c)
+            )
+            for c in range(len(windows))
+        ]
+
+    def _shipped_tasks(self, engine_args, monkeypatch):
+        """The shard tasks ``run_windows`` hands to its executor."""
+        from repro.parallel import run_windows
+        from repro.parallel.executor import ParallelExecutor
+
+        shipped = []
+        original = ParallelExecutor.run
+
+        def recording_run(executor, tasks):
+            shipped.extend(tasks)
+            return original(executor, tasks)
+
+        monkeypatch.setattr(ParallelExecutor, "run", recording_run)
+        run_windows(
+            window_pairs=self._window_pairs(engine_args),
+            n_workers=2,
+            **engine_args[0],
+        )
+        assert len(shipped) == 2
+        return shipped
+
+    def test_shard_task_ships_no_ground_truth(
+        self, engine_args, monkeypatch
+    ):
+        for task in self._shipped_tasks(engine_args, monkeypatch):
+            data = pickle.dumps(task)
+            assert b"SimReIDModel" in data
+            assert b"GroundTruthState" not in data
+            assert b"VideoGroundTruth" not in data
+            # Tracks travel as columns, not one object per observation.
+            assert b"TrackObservation" not in data
+            assert b"BBox" not in data
+
+    def test_window_outcome_ships_no_tracks(self, engine_args, monkeypatch):
+        from repro.parallel import execute_shard
+
+        task = self._shipped_tasks(engine_args, monkeypatch)[0]
+        outcomes = execute_shard(pickle.loads(pickle.dumps(task)))
+        assert any(outcome.candidate_keys for outcome in outcomes)
+        data = pickle.dumps(outcomes)
+        assert b"TrackObservation" not in data
+        assert b"TrackPair" not in data
+        assert b"_track_from_columns" not in data
+
+    @pytest.mark.parametrize(
+        "workers, backend",
+        [(1, "process"), (2, "process"), (2, "thread")],
+    )
+    def test_candidates_are_the_callers_pairs(
+        self, engine_args, workers, backend
+    ):
+        from repro.parallel import run_windows
+
+        window_pairs = self._window_pairs(engine_args)
+        run = run_windows(
+            window_pairs=window_pairs,
+            n_workers=workers,
+            backend=backend,
+            **engine_args[0],
+        )
+        assert any(result.candidates for result in run.window_results)
+        for result, pairs in zip(run.window_results, window_pairs):
+            owned = {id(pair) for pair in pairs}
+            assert all(id(pair) in owned for pair in result.candidates)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stream_candidates_are_the_shipped_pairs(
+        self, chaos_world, workers, monkeypatch
+    ):
+        from repro.core.tmerge import TMerge
+        from repro.parallel.executor import ParallelExecutor
+        from repro.streaming import (
+            StreamingIngestionService,
+            SyntheticFeedSource,
+        )
+        from repro.track import TracktorTracker
+
+        shipped = {}
+        original = ParallelExecutor.run
+
+        def recording_run(executor, tasks):
+            for task in tasks:
+                for item in task.items:
+                    shipped[item.index] = {id(pair) for pair in item.pairs}
+            return original(executor, tasks)
+
+        monkeypatch.setattr(ParallelExecutor, "run", recording_run)
+        service = StreamingIngestionService(
+            TracktorTracker(),
+            TMerge(k=0.1, tau_max=100, batch_size=10, seed=3),
+            window_length=60,
+            allowed_lateness=4,
+            workers=workers,
+            parallel_backend="process",
+        )
+        result = service.run(SyntheticFeedSource(chaos_world))
+        merged = [e for e in result.emissions if e.result.candidates]
+        # The end-of-feed batch fans several windows out over the pool.
+        assert len(merged) >= 2
+        for emission in merged:
+            owned = shipped[emission.index]
+            assert all(
+                id(pair) in owned for pair in emission.result.candidates
+            )
